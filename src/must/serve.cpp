@@ -1,6 +1,8 @@
 #include "must/serve.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "sim/session_pool.hpp"
@@ -163,16 +165,16 @@ void ServeServer::run() {
     admitPending();
   }
   // Results in submission order, not completion order: stable across
-  // thread counts and slice interleavings.
-  const auto rank = [this](const SessionResult& r) {
-    for (std::size_t i = 0; i < submitOrder_.size(); ++i) {
-      if (submitOrder_[i] == r.name) return i;
-    }
-    return submitOrder_.size();
-  };
+  // thread counts and slice interleavings. A name submitted more than once
+  // ranks at its first submission, so its results keep completion order.
+  std::unordered_map<std::string_view, std::size_t> firstSubmission;
+  for (std::size_t i = 0; i < submitOrder_.size(); ++i) {
+    firstSubmission.emplace(submitOrder_[i], i);
+  }
   std::stable_sort(results_.begin(), results_.end(),
                    [&](const SessionResult& a, const SessionResult& b) {
-                     return rank(a) < rank(b);
+                     return firstSubmission.at(a.name) <
+                            firstSubmission.at(b.name);
                    });
 }
 

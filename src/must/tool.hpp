@@ -227,7 +227,7 @@ struct ToolConfig {
     tbon::NodeId node = -1;
     sim::Time at = 0;
   };
-  std::vector<CrashPlanEntry> crashPlan;
+  std::vector<CrashPlanEntry> crashPlan{};
   /// Master switch of the re-parenting reaction. Off = crashed nodes stay
   /// dark and their subtree's protocol state is simply lost (only useful to
   /// demonstrate why recovery is needed).

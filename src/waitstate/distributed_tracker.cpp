@@ -91,6 +91,17 @@ std::size_t DistributedTracker::windowSize(ProcId proc) const {
   return state(proc).window.size();
 }
 
+std::vector<OpId> DistributedTracker::consumedSends(ProcId src, ProcId dst,
+                                                    mpi::CommId comm) const {
+  std::vector<OpId> sends;
+  const auto it = channels_.find(ChannelKey{src, dst, comm});
+  if (it == channels_.end()) return sends;
+  for (const ConsumedSend& entry : it->second.history) {
+    sends.push_back(entry.send.sendOp);
+  }
+  return sends;
+}
+
 void DistributedTracker::fastForward(ProcId proc, LocalTs opCount,
                                      std::uint32_t worldCollectives) {
   ProcState& ps = state(proc);
@@ -172,10 +183,9 @@ void DistributedTracker::onNewOp(const Record& rec) {
         // A deterministic probe may already observe a pending send — but
         // only one that no earlier still-unmatched receive of this process
         // could claim first (program order: those receives have priority).
-        const ChannelKey key{rec.peer, p, rec.comm};
-        const auto it = pendingSends_.find(key);
-        if (it != pendingSends_.end()) {
-          for (const PassSendMsg& send : it->second) {
+        const auto it = channels_.find(ChannelKey{rec.peer, p, rec.comm});
+        if (it != channels_.end()) {
+          for (const PassSendMsg& send : it->second.pending) {
             if (rec.tag != mpi::kAnyTag && rec.tag != send.tag) continue;
             if (!probeOrderReached(p, op, send.sendOp.proc, send.tag,
                                    send.comm)) {
@@ -361,13 +371,14 @@ void DistributedTracker::enqueueRecvLike(ProcId proc, LocalTs ts) {
   const OpState* op = findOp(proc, ts);
   WST_ASSERT(op != nullptr, "enqueueRecvLike: missing op");
   const mpi::CommId comm = op->rec.comm;
-  pendingRecvs_[{proc, comm}].push_back(ts);
+  pendingRecvs_[{proc, comm}].recvs.push_back(ts);
 }
 
 void DistributedTracker::tryMatch(ProcId proc, mpi::CommId comm) {
   const auto it = pendingRecvs_.find({proc, comm});
   if (it == pendingRecvs_.end()) return;
-  auto& list = it->second;
+  RecvQueue& queue = it->second;
+  auto& list = queue.recvs;
 
   // Tags an unresolved wildcard ahead in the queue could still claim; sends
   // with such tags must not be matched by later receives.
@@ -375,7 +386,9 @@ void DistributedTracker::tryMatch(ProcId proc, mpi::CommId comm) {
   bool matchedAny = false;
   std::vector<mpi::Tag> blockedTags;
 
-  for (auto lit = list.begin(); lit != list.end();) {
+  // Once no unmatched send is left, the rest of the walk could only update
+  // the blocked-tag state above, so it stops there.
+  for (auto lit = list.begin(); lit != list.end() && queue.sends != 0;) {
     OpState* op = findOp(proc, *lit);
     WST_ASSERT(op != nullptr, "pending receive missing from window");
     const Record& r = op->rec;
@@ -400,12 +413,12 @@ void DistributedTracker::tryMatch(ProcId proc, mpi::CommId comm) {
     const mpi::Tag matchTag =
         op->wildcardResolved ? op->resolvedTag : wantTag;
 
-    const auto chIt = pendingSends_.find(ChannelKey{source, proc, comm});
+    const auto chIt = channels_.find(ChannelKey{source, proc, comm});
     const PassSendMsg* found = nullptr;
     std::size_t foundIdx = 0;
-    if (chIt != pendingSends_.end()) {
-      for (std::size_t i = 0; i < chIt->second.size(); ++i) {
-        const PassSendMsg& send = chIt->second[i];
+    if (chIt != channels_.end()) {
+      for (std::size_t i = 0; i < chIt->second.pending.size(); ++i) {
+        const PassSendMsg& send = chIt->second.pending[i];
         if (matchTag != mpi::kAnyTag && send.tag != matchTag) continue;
         if (anyTagBlocked) continue;
         if (std::find(blockedTags.begin(), blockedTags.end(), send.tag) !=
@@ -419,32 +432,15 @@ void DistributedTracker::tryMatch(ProcId proc, mpi::CommId comm) {
     }
     if (found != nullptr) {
       const PassSendMsg send = *found;
-      auto& chan = chIt->second;
-      auto& history = consumedSends_[ChannelKey{source, proc, comm}];
-      history.push_back(ConsumedSend{send, op->rec.id});
+      Channel& chan = chIt->second;
+      chan.history.push_back(ConsumedSend{send, op->rec.id});
       if (config_.consumedHistory != 0 &&
-          history.size() > config_.consumedHistory) {
-        // Evict the oldest entry whose consuming receive has completed its
-        // recvActiveAck handshake (or has already retired from the window,
-        // which implies the handshake finished). Entries with the ack
-        // still in flight stay pinned: under message reordering a probe
-        // naming that send can still arrive and must resolve, so the
-        // history transiently exceeds its bound rather than dropping a
-        // live entry. A probe that names an evicted send can never
-        // resolve; the counter makes that failure mode observable.
-        bool evicted = false;
-        for (auto eit = history.begin(); eit != history.end(); ++eit) {
-          const OpState* consumer = findOp(eit->consumer.proc,
-                                           eit->consumer.ts);
-          if (consumer != nullptr && !consumer->gotAck) continue;  // pinned
-          history.erase(eit);
-          if (evictionCounter_ != nullptr) evictionCounter_->add();
-          evicted = true;
-          break;
-        }
-        if (!evicted && pinnedCounter_ != nullptr) pinnedCounter_->add();
+          chan.history.size() > config_.consumedHistory) {
+        evictConsumed(chan);
       }
-      chan.erase(chan.begin() + static_cast<std::ptrdiff_t>(foundIdx));
+      chan.pending.erase(chan.pending.begin() +
+                         static_cast<std::ptrdiff_t>(foundIdx));
+      --queue.sends;
       performMatch(proc, *op, send);
       lit = list.erase(lit);
       matchedAny = true;
@@ -456,6 +452,25 @@ void DistributedTracker::tryMatch(ProcId proc, mpi::CommId comm) {
   // probe could not observe the store while an earlier receive was
   // undecided).
   if (matchedAny) recheckProbes(proc);
+}
+
+void DistributedTracker::evictConsumed(Channel& chan) {
+  // A probe that names an evicted send can never resolve; the counters make
+  // that failure mode observable.
+  if (chan.unpinned == 0) {
+    if (pinnedCounter_ != nullptr) pinnedCounter_->add();
+    return;
+  }
+  // A retired consumer finished its handshake, so it is unpinned too.
+  const auto it = std::find_if(
+      chan.history.begin(), chan.history.end(), [&](const ConsumedSend& e) {
+        const OpState* consumer = findOp(e.consumer.proc, e.consumer.ts);
+        return consumer == nullptr || consumer->gotAck;
+      });
+  WST_ASSERT(it != chan.history.end(), "unpinned history entry missing");
+  chan.history.erase(it);
+  --chan.unpinned;
+  if (evictionCounter_ != nullptr) evictionCounter_->add();
 }
 
 void DistributedTracker::performMatch(ProcId proc, OpState& recv,
@@ -565,9 +580,9 @@ void DistributedTracker::recheckProbes(ProcId proc) {
       continue;
     }
     const PassSendMsg* found = nullptr;
-    const auto chIt = pendingSends_.find(ChannelKey{source, proc, r.comm});
-    if (chIt != pendingSends_.end()) {
-      for (const PassSendMsg& send : chIt->second) {
+    const auto chIt = channels_.find(ChannelKey{source, proc, r.comm});
+    if (chIt != channels_.end()) {
+      for (const PassSendMsg& send : chIt->second.pending) {
         if (tag != mpi::kAnyTag && send.tag != tag) continue;
         if (!probeOrderReached(proc, *probe, source, send.tag, r.comm)) {
           // An earlier receive may claim this send; once it matches, the
@@ -597,30 +612,27 @@ void DistributedTracker::recheckProbes(ProcId proc) {
 void DistributedTracker::resolveProbe(ProcId proc, OpState& probe) {
   if (probe.matched) return;
   const Record& r = probe.rec;
-  const ChannelKey key{probe.resolvedSource, proc, r.comm};
-  const auto scan = [&](const std::deque<PassSendMsg>& sends)
-      -> const PassSendMsg* {
-    for (const PassSendMsg& send : sends) {
-      if (send.tag == probe.resolvedTag) return &send;
-    }
-    return nullptr;
-  };
+  const auto it =
+      channels_.find(ChannelKey{probe.resolvedSource, proc, r.comm});
+  if (it == channels_.end()) return;  // passSend not yet here
+  const Channel& chan = it->second;
   const PassSendMsg* found = nullptr;
-  if (const auto it = pendingSends_.find(key); it != pendingSends_.end()) {
-    found = scan(it->second);
+  for (const PassSendMsg& send : chan.pending) {
+    if (send.tag == probe.resolvedTag) {
+      found = &send;
+      break;
+    }
   }
   if (found == nullptr) {
-    if (const auto it = consumedSends_.find(key); it != consumedSends_.end()) {
-      for (const ConsumedSend& entry : it->second) {
-        // A send consumed by an op that precedes the probe in program order
-        // was gone before the probe executed — it cannot be what the probe
-        // observed (the consumer of a send to this process is always this
-        // process, so timestamps are comparable).
-        if (entry.send.tag == probe.resolvedTag &&
-            entry.consumer.ts > r.id.ts) {
-          found = &entry.send;
-          break;
-        }
+    for (const ConsumedSend& entry : chan.history) {
+      // A send consumed by an op that precedes the probe in program order
+      // was gone before the probe executed — it cannot be what the probe
+      // observed (the consumer of a send to this process is always this
+      // process, so timestamps are comparable).
+      if (entry.send.tag == probe.resolvedTag &&
+          entry.consumer.ts > r.id.ts) {
+        found = &entry.send;
+        break;
       }
     }
   }
@@ -642,8 +654,9 @@ void DistributedTracker::resolveProbe(ProcId proc, OpState& probe) {
 void DistributedTracker::onPassSend(const PassSendMsg& msg) {
   WST_ASSERT(hosts(msg.destProc), "passSend routed to the wrong node");
   satisfyProbes(msg.destProc, msg);
-  pendingSends_[ChannelKey{msg.sendOp.proc, msg.destProc, msg.comm}]
-      .push_back(msg);
+  channels_[ChannelKey{msg.sendOp.proc, msg.destProc, msg.comm}]
+      .pending.push_back(msg);
+  ++pendingRecvs_[{msg.destProc, msg.comm}].sends;
   tryMatch(msg.destProc, msg.comm);
   pump(msg.destProc);
 }
@@ -719,7 +732,16 @@ void DistributedTracker::onRecvActiveAck(const RecvActiveAckMsg& msg) {
     return;
   }
   WST_ASSERT(op != nullptr, "recvActiveAck for an unknown receive");
-  op->gotAck = true;
+  if (!op->gotAck) {
+    // The ack unpins the consumer's history entry; gotAck never turns
+    // false again, so the entry stays unpinned until evicted.
+    const auto chan = channels_.find(
+        ChannelKey{op->matchedSend.proc, p, op->rec.comm});
+    WST_ASSERT(op->matched && chan != channels_.end(),
+               "recvActiveAck for an unmatched receive");
+    ++chan->second.unpinned;
+    op->gotAck = true;
+  }
   touch(p);
   if (op->rec.kind == Kind::kIrecv) {
     markRequestReached(p, op->rec.request);

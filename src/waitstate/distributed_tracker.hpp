@@ -180,6 +180,10 @@ class DistributedTracker {
   /// memory unless the tool falls behind, cf. 128.GAPgeofem).
   std::size_t maxWindowSize() const { return maxWindow_; }
   std::size_t windowSize(trace::ProcId proc) const;
+  /// Sends in the consumed history of channel src -> dst on `comm`, oldest
+  /// first.
+  std::vector<trace::OpId> consumedSends(trace::ProcId src, trace::ProcId dst,
+                                         mpi::CommId comm) const;
 
  private:
   /// Per-operation tracking state (paper: the object o with l, l_s, active,
@@ -220,14 +224,44 @@ class DistributedTracker {
     std::unordered_map<mpi::CommId, std::uint32_t> collSeq;
   };
 
-  /// Channel of pending (unmatched) sends: keyed by source process and
-  /// communicator; entries stay in send order (intralayer channels are
-  /// non-overtaking and each sender's node emits passSend in program order).
+  /// Point-to-point channel from a sender process to a hosted receiver
+  /// process on one communicator. Its sends arrive in send order
+  /// (intralayer channels are non-overtaking and each sender's node emits
+  /// passSend in program order).
   struct ChannelKey {
     trace::ProcId src;
     trace::ProcId dst;
     mpi::CommId comm;
     auto operator<=>(const ChannelKey&) const = default;
+  };
+
+  /// A consumed send remembered together with the receive that consumed it.
+  struct ConsumedSend {
+    PassSendMsg send;
+    trace::OpId consumer;
+  };
+
+  /// Matching state of one channel (DESIGN.md §6a).
+  struct Channel {
+    /// Unmatched sends, in send order.
+    std::deque<PassSendMsg> pending;
+    /// Recently consumed sends, oldest first, kept so a late probe
+    /// resolution can still identify its send. An entry is pinned exactly
+    /// while its consumer has no recvActiveAck yet: until then a probe may
+    /// still name the send, so eviction skips it and the history may
+    /// transiently exceed TrackerConfig::consumedHistory.
+    std::deque<ConsumedSend> history;
+    /// History entries that are not pinned (their consumer got its ack).
+    std::size_t unpinned = 0;
+  };
+
+  /// Receive side of one hosted process on one communicator.
+  struct RecvQueue {
+    /// Unmatched consuming receive-like ops, in call order.
+    std::deque<trace::LocalTs> recvs;
+    /// Unmatched sends to the process on the communicator, over all its
+    /// channels. At 0 no pending receive can match anything.
+    std::size_t sends = 0;
   };
 
   struct NodeWave {
@@ -256,6 +290,9 @@ class DistributedTracker {
   void enqueueRecvLike(trace::ProcId proc, trace::LocalTs ts);
   void tryMatch(trace::ProcId proc, mpi::CommId comm);
   void performMatch(trace::ProcId proc, OpState& recv, const PassSendMsg& send);
+  /// Drop the oldest unpinned entry of an over-full history, or count the
+  /// attempt as pinned when every entry is.
+  void evictConsumed(Channel& channel);
   void maybeSendRecvActive(trace::ProcId proc, OpState& op);
   void satisfyProbes(trace::ProcId dst, const PassSendMsg& send);
   void resolveProbe(trace::ProcId proc, OpState& probe);
@@ -297,21 +334,8 @@ class DistributedTracker {
   bool stopped_ = false;
 
   std::vector<ProcState> procs_;
-  std::map<ChannelKey, std::deque<PassSendMsg>> pendingSends_;
-  /// A consumed send remembered together with the receive that consumed
-  /// it. Until that receive's recvActiveAck handshake completes, a late
-  /// probe resolution may still need to identify the send, so eviction
-  /// must pin the entry (see tryMatch).
-  struct ConsumedSend {
-    PassSendMsg send;
-    trace::OpId consumer;
-  };
-  /// Recently consumed sends per channel (bounded history) so late probe
-  /// resolutions can still identify their send.
-  std::map<ChannelKey, std::deque<ConsumedSend>> consumedSends_;
-  /// Unmatched consuming receive-like ops per (proc, comm), in call order.
-  std::map<std::pair<trace::ProcId, mpi::CommId>, std::deque<trace::LocalTs>>
-      pendingRecvs_;
+  std::map<ChannelKey, Channel> channels_;
+  std::map<std::pair<trace::ProcId, mpi::CommId>, RecvQueue> pendingRecvs_;
   /// Unmatched probes per proc, in call order.
   std::vector<std::vector<trace::LocalTs>> pendingProbes_;
   std::map<std::pair<mpi::CommId, std::uint32_t>, NodeWave> collWaves_;

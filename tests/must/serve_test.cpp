@@ -160,6 +160,47 @@ TEST(Serve, EvictingOneSessionLeavesTheOthersUntouched) {
   }
 }
 
+TEST(Serve, DuplicateNamesKeepCompletionOrderAtTheirFirstSubmission) {
+  // Results come back ranked by the first submission of their name. The
+  // longest and the shortest session share a name, the longest submitted
+  // first: both take that name's first slot, in completion order, so the
+  // shorter one comes first.
+  const auto specs = eightSessions();
+  std::vector<std::uint64_t> events;
+  for (const SessionSpec& spec : specs) {
+    events.push_back(runSessionSolo(spec).eventsExecuted);
+  }
+  const auto shortest = static_cast<std::size_t>(
+      std::min_element(events.begin(), events.end()) - events.begin());
+  const auto longest = static_cast<std::size_t>(
+      std::max_element(events.begin(), events.end()) - events.begin());
+  std::vector<std::size_t> others;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (i != shortest && i != longest) others.push_back(i);
+  }
+  ServeServer::Config cfg;
+  cfg.sessionCap = 4;
+  cfg.sliceEvents = 64;
+  ASSERT_GT(events[longest], events[shortest] + cfg.sliceEvents);
+  SessionSpec longDup = specs[longest];
+  SessionSpec shortDup = specs[shortest];
+  longDup.name = shortDup.name = "dup";
+
+  const std::vector<SessionSpec> submitted{longDup, specs[others[0]],
+                                           shortDup, specs[others[1]]};
+
+  ServeServer server(cfg);
+  for (const SessionSpec& spec : submitted) server.submit(spec);
+  server.run();
+  const auto& results = server.results();
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_LT(results[0].rounds, results[1].rounds);
+  expectSameResult(results[0], runSessionSolo(shortDup), "short dup");
+  expectSameResult(results[1], runSessionSolo(longDup), "long dup");
+  expectSameResult(results[2], runSessionSolo(submitted[1]), "second name");
+  expectSameResult(results[3], runSessionSolo(submitted[3]), "third name");
+}
+
 TEST(Serve, StatusJsonCarriesSessionsTableAndCounters) {
   const auto specs = eightSessions();
   ServeServer::Config cfg;

@@ -2,6 +2,7 @@
 // state tracking + consistent-state protocol + WFG check at the root.
 #include <gtest/gtest.h>
 
+#include "bench/common.hpp"
 #include "must/harness.hpp"
 #include "support/strings.hpp"
 #include "support/tracing.hpp"
@@ -327,6 +328,26 @@ TEST(Tool, CentralizedSlowerThanDistributedOnStress) {
   EXPECT_TRUE(cent.allFinalized);
   EXPECT_GT(dist.slowdownOver(ref), 1.0);
   EXPECT_GT(cent.slowdownOver(ref), dist.slowdownOver(ref));
+}
+
+TEST(Tool, StressMatchingOutcomeIsPinned) {
+  // The paper's Fig. 9 stress program at p = 64 under the fig09 cluster and
+  // tool cost model. The values were recorded with an eviction that
+  // rescanned the whole consumed history on every match. The engine trace
+  // hash covers every event in order, so a changed matching decision moves
+  // it; the counters pin how many over-bound matches evicted an entry and
+  // how many found every entry pinned.
+  sim::ParallelEngine engine(1);
+  Runtime runtime(engine, bench::sierraLike(), 64);
+  DistributedTool tool(engine, runtime, bench::distributedTool(4));
+  runtime.runToCompletion(workloads::cyclicExchange());
+  EXPECT_TRUE(runtime.allFinalized());
+  EXPECT_FALSE(tool.deadlockFound());
+  EXPECT_EQ(engine.traceHash(), 0xa360a14736047b6eull);
+  support::MetricsRegistry& metrics = tool.metrics();
+  EXPECT_EQ(metrics.counter("tracker/consumed_evictions").value(), 33u);
+  EXPECT_EQ(metrics.counter("tracker/consumed_pinned").value(), 2655u);
+  EXPECT_EQ(metrics.gauge("tracker/max_window").max(), 56);
 }
 
 TEST(Tool, CollectiveMismatchFlaggedAtRoot) {

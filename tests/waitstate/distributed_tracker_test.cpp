@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "waitstate/distributed_tracker.hpp"
 #include "wfg/graph.hpp"
@@ -551,6 +552,116 @@ TEST(DistributedTracker, PendingProbePinsConsumedHistory) {
                              &evictions);
   EXPECT_EQ(evictions, 0u);
   EXPECT_GT(metrics.counter("tracker/consumed_pinned").value(), 0u);
+}
+
+/// Records a lone tracker's outgoing recvActives instead of delivering
+/// anything, so a test can hand the replies back in any order.
+struct RecordingComms : Comms {
+  std::vector<RecvActiveMsg> recvActives;
+  void passSend(const PassSendMsg&) override {}
+  void recvActive(ProcId, const RecvActiveMsg& msg) override {
+    recvActives.push_back(msg);
+  }
+  void recvActiveAck(ProcId, const RecvActiveAckMsg&) override {}
+  void collectiveReady(const CollectiveReadyMsg&) override {}
+};
+
+TEST(DistributedTracker, ReorderedAcksEvictTheOldestUnpinnedEntry) {
+  // An entry of the consumed history is pinned exactly while its consuming
+  // receive has no recvActiveAck. The tracker hosts receiver rank 1 alone;
+  // the passSends of rank 0 and every ack are handed in by the test.
+  support::MetricsRegistry metrics;
+  TrackerConfig cfg;
+  cfg.consumedHistory = 3;
+  cfg.metrics = &metrics;
+  RecordingComms out;
+  MapCommView view(2);
+  DistributedTracker t(1, 2, out, view, cfg);
+  trace::LocalTs nextTs = 0;
+  const auto newOp = [&](Kind kind, mpi::Rank peer, mpi::Tag tag) {
+    Record r;
+    r.id = OpId{1, nextTs++};
+    r.kind = kind;
+    r.peer = peer;
+    r.tag = tag;
+    r.request = static_cast<mpi::RequestId>(r.id.ts);
+    t.onNewOp(r);
+    return r.id;
+  };
+  trace::LocalTs nextSendTs = 0;
+  std::vector<OpId> irecvs;
+  const auto exchange = [&](mpi::Tag tag) {
+    irecvs.push_back(newOp(Kind::kIrecv, 0, tag));
+    PassSendMsg send;
+    send.sendOp = OpId{0, nextSendTs++};
+    send.destProc = 1;
+    send.tag = tag;
+    t.onPassSend(send);
+  };
+  const auto ack = [&](std::size_t irecv) {
+    t.onRecvActiveAck(RecvActiveAckMsg{irecvs[irecv], false});
+  };
+  const auto history = [&] {
+    std::vector<trace::LocalTs> sendTs;
+    for (const OpId& send : t.consumedSends(0, 1, mpi::kCommWorld)) {
+      sendTs.push_back(send.ts);
+    }
+    return sendTs;
+  };
+  using Ts = std::vector<trace::LocalTs>;
+  const auto evictions = [&] {
+    return metrics.counter("tracker/consumed_evictions").value();
+  };
+  const auto pinned = [&] {
+    return metrics.counter("tracker/consumed_pinned").value();
+  };
+
+  // A wildcard probe blocks rank 1 while the Irecvs behind it consume
+  // sends 0..4: no consumer is reached, so none is acked, and both
+  // over-bound matches find every entry pinned.
+  const OpId probe = newOp(Kind::kProbe, mpi::kAnySource, mpi::kAnyTag);
+  for (mpi::Tag tag = 10; tag < 15; ++tag) exchange(tag);
+  EXPECT_EQ(history(), (Ts{0, 1, 2, 3, 4}));
+  EXPECT_EQ(evictions(), 0u);
+  EXPECT_EQ(pinned(), 2u);
+
+  // The late MatchInfo names send 0, which is still there because pinned.
+  t.onMatchInfo(trace::MatchInfoEvent{probe, 0, 10});
+  ASSERT_EQ(out.recvActives.size(), 1u);
+  EXPECT_EQ(out.recvActives[0].sendOp, (OpId{0, 0}));
+  EXPECT_EQ(out.recvActives[0].recvOp, probe);
+  EXPECT_TRUE(out.recvActives[0].forProbe);
+
+  // The probe completes and rank 1 runs past its Irecvs, which now ask
+  // for their acks.
+  t.onRecvActiveAck(RecvActiveAckMsg{probe, true});
+  EXPECT_EQ(t.current(1), 6u);
+  EXPECT_EQ(out.recvActives.size(), 6u);
+
+  // Acks out of match order (Irecv 2 before Irecv 1), Irecv 2's twice.
+  ack(2);
+  ack(1);
+  ack(2);
+  // Each over-bound match evicts the oldest unpinned entry: send 1, then
+  // send 2 — never the older, pinned send 0.
+  exchange(15);
+  EXPECT_EQ(history(), (Ts{0, 2, 3, 4, 5}));
+  exchange(16);
+  EXPECT_EQ(history(), (Ts{0, 3, 4, 5, 6}));
+  // The duplicate ack unpinned nothing: every entry is pinned again.
+  exchange(17);
+  EXPECT_EQ(history(), (Ts{0, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(evictions(), 2u);
+  EXPECT_EQ(pinned(), 3u);
+
+  // Irecv 0's ack retires Irecvs 0-2 from the window; a retired consumer
+  // is unpinned as well.
+  ack(0);
+  EXPECT_EQ(t.windowSize(1), 5u);
+  exchange(18);
+  EXPECT_EQ(history(), (Ts{3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(evictions(), 3u);
+  EXPECT_EQ(pinned(), 3u);
 }
 
 TEST(DistributedTracker, MetricsTrackMaxWindow) {

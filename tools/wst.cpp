@@ -108,7 +108,7 @@ void printUsage() {
       "run options:\n"
       "  --workload NAME          workload or SPEC proxy name (default: stress)\n"
       "  --procs N                number of simulated ranks (default: 16)\n"
-      "  --fanin F                TBON fan-in (default: 4)\n"
+      "  --fanin F                TBON fan-in, at least 2 (default: 4)\n"
       "  --centralized            use the centralized baseline architecture\n"
       "  --iterations N           workload iterations (default: 50)\n"
       "  --distance D             stress exchange ring distance (default: 1;\n"
@@ -1069,6 +1069,10 @@ int main(int argc, char** argv) {
   }
   if (opt.procs < 2) {
     std::fprintf(stderr, "--procs must be at least 2\n");
+    return 1;
+  }
+  if (!opt.centralized && opt.fanIn < 2) {
+    std::fprintf(stderr, "--fanin must be at least 2\n");
     return 1;
   }
   if (opt.threads < 0) {

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "fuzz/generator.hpp"
-#include "fuzz/interpreter.hpp"
+#include "fuzz/oracle.hpp"
 #include "fuzz/scenario.hpp"
 #include "must/serve.hpp"
 #include "support/strings.hpp"
@@ -35,26 +35,9 @@ constexpr std::int32_t kSessions = 64;
 
 must::SessionSpec makeSpec(std::int32_t index) {
   const auto seed = static_cast<std::uint64_t>(index + 1);
-  const auto scenario =
-      std::make_shared<const fuzz::Scenario>(fuzz::makeScenario(seed));
-  must::SessionSpec spec;
-  spec.name = support::format("s%03d", index);
-  spec.procs = scenario->procs;
-  spec.mpiConfig.ranksPerNode = 2;
-  spec.tool.fanIn = scenario->fanIn;
-  spec.tool.appEventCost = 0;
-  spec.tool.overlay.appToLeaf.credits = 0;
-  spec.tool.detectOnQuiescence = true;
-  spec.tool.periodicDetection = scenario->periodic;
-  spec.tool.detectionJitter = scenario->detectionJitter;
-  spec.tool.detectionJitterSeed = scenario->seed + 1;
-  spec.tool.maxPeriodicRounds = 64;
-  spec.tool.consumedHistory = scenario->consumedHistory;
-  spec.tool.overlay.intralayer.latency = scenario->latIntra;
-  spec.tool.overlay.treeUp.latency = scenario->latUp;
-  spec.tool.overlay.treeDown.latency = scenario->latDown;
-  spec.program = fuzz::scenarioProgram(scenario);
-  return spec;
+  return fuzz::sessionSpec(
+      support::format("s%03d", index),
+      std::make_shared<const fuzz::Scenario>(fuzz::makeScenario(seed)));
 }
 
 template <typename T>

@@ -87,7 +87,42 @@ mpi::RuntimeConfig mpiConfigFor(const Scenario& sc) {
   return cfg;
 }
 
+/// The scenario's tool configuration, before the RunOptions knobs and fault
+/// plans runDistributedOracle adds.
+must::ToolConfig toolConfigFor(const Scenario& scenario) {
+  must::ToolConfig cfg;
+  cfg.fanIn = scenario.fanIn;
+  // Zero application-visible overhead: both oracle sides must observe the
+  // same execution (identical wildcard matching decisions).
+  cfg.appEventCost = 0;
+  cfg.overlay.appToLeaf.credits = 0;
+  cfg.detectOnQuiescence = true;
+  cfg.periodicDetection = scenario.periodic;
+  cfg.detectionJitter = scenario.detectionJitter;
+  cfg.detectionJitterSeed = scenario.seed + 1;
+  // Scenarios may block forever without a WFG deadlock (starved wildcard
+  // receives); bound the periodic rounds so the simulation terminates. The
+  // quiescence-triggered final detection runs regardless.
+  cfg.maxPeriodicRounds = 64;
+  cfg.consumedHistory = scenario.consumedHistory;
+  cfg.overlay.intralayer.latency = scenario.latIntra;
+  cfg.overlay.treeUp.latency = scenario.latUp;
+  cfg.overlay.treeDown.latency = scenario.latDown;
+  return cfg;
+}
+
 }  // namespace
+
+must::SessionSpec sessionSpec(std::string name,
+                              std::shared_ptr<const Scenario> scenario) {
+  must::SessionSpec spec;
+  spec.name = std::move(name);
+  spec.procs = scenario->procs;
+  spec.mpiConfig = mpiConfigFor(*scenario);
+  spec.tool = toolConfigFor(*scenario);
+  spec.program = scenarioProgram(std::move(scenario));
+  return spec;
+}
 
 std::string Outcome::summary() const {
   std::string s = support::format("deadlock=%d blocked=[", deadlock ? 1 : 0);
@@ -149,24 +184,7 @@ Outcome runDistributedOracle(const Scenario& scenario,
   // certificate both at construction and while handling sampled events.
   analysis::Certificate certificate;
 
-  must::ToolConfig cfg;
-  cfg.fanIn = scenario.fanIn;
-  // Zero application-visible overhead: both oracle sides must observe the
-  // same execution (identical wildcard matching decisions).
-  cfg.appEventCost = 0;
-  cfg.overlay.appToLeaf.credits = 0;
-  cfg.detectOnQuiescence = true;
-  cfg.periodicDetection = scenario.periodic;
-  cfg.detectionJitter = scenario.detectionJitter;
-  cfg.detectionJitterSeed = scenario.seed + 1;
-  // Scenarios may block forever without a WFG deadlock (starved wildcard
-  // receives); bound the periodic rounds so the simulation terminates. The
-  // quiescence-triggered final detection runs regardless.
-  cfg.maxPeriodicRounds = 64;
-  cfg.consumedHistory = scenario.consumedHistory;
-  cfg.overlay.intralayer.latency = scenario.latIntra;
-  cfg.overlay.treeUp.latency = scenario.latUp;
-  cfg.overlay.treeDown.latency = scenario.latDown;
+  must::ToolConfig cfg = toolConfigFor(scenario);
   cfg.batchWaitState = options.batch;
   cfg.injectBug = options.injectBug;
   if (options.hybrid) {

@@ -8,10 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "fuzz/scenario.hpp"
+#include "must/serve.hpp"
 #include "tbon/overlay.hpp"
 #include "trace/op.hpp"
 
@@ -59,6 +61,12 @@ struct Outcome {
   /// One-line digest for divergence reports.
   std::string summary() const;
 };
+
+/// A session running `scenario` under the oracle's zero-overhead tool
+/// configuration, so a served verdict is comparable with a fuzz replay of
+/// the same scenario.
+must::SessionSpec sessionSpec(std::string name,
+                              std::shared_ptr<const Scenario> scenario);
 
 /// Centralized reference run.
 Outcome runFormalOracle(const Scenario& scenario);

@@ -27,6 +27,13 @@ std::string formatProb(double p) {
   return buf;
 }
 
+/// Read one virtual-time value. `>>` into an unsigned type accepts a
+/// leading '-' and wraps it to about 2^64, so that sign is rejected first.
+bool readTime(std::istream& in, sim::Duration& out) {
+  return (in >> std::ws).peek() != '-' && in >> out &&
+         out <= sim::kMaxInputDuration;
+}
+
 }  // namespace
 
 const char* opKindName(OpKind kind) {
@@ -89,6 +96,10 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
     if (error != nullptr) *error = why;
     return std::nullopt;
   };
+  const auto badTime = [&](const std::string& field) {
+    return fail("bad " + field + ": expected 0.." +
+                std::to_string(sim::kMaxInputDuration) + " virtual ns");
+  };
   std::istringstream in(text);
   std::string word;
   if (!(in >> word) || word != "wstfuzz") return fail("missing wstfuzz header");
@@ -114,14 +125,15 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
     } else if (word == "fanin") {
       if (!(in >> sc.fanIn)) return fail("bad fanin");
     } else if (word == "periodic") {
-      if (!(in >> sc.periodic)) return fail("bad periodic");
+      if (!readTime(in, sc.periodic)) return badTime("periodic");
     } else if (word == "detection_jitter") {
-      if (!(in >> sc.detectionJitter)) return fail("bad detection_jitter");
+      if (!readTime(in, sc.detectionJitter)) return badTime("detection_jitter");
     } else if (word == "consumed_history") {
       if (!(in >> sc.consumedHistory)) return fail("bad consumed_history");
     } else if (word == "latency") {
-      if (!(in >> sc.latIntra >> sc.latUp >> sc.latDown)) {
-        return fail("bad latency line");
+      if (!readTime(in, sc.latIntra) || !readTime(in, sc.latUp) ||
+          !readTime(in, sc.latDown)) {
+        return badTime("latency");
       }
       if (sc.latIntra <= 0 || sc.latUp <= 0 || sc.latDown <= 0) {
         return fail("latencies must be positive");
@@ -137,20 +149,20 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
       if (!(in >> key >> sc.faults.delay) || key != "delay") {
         return fail("bad faults line (delay)");
       }
-      if (!(in >> key >> sc.faults.maxExtraDelay) || key != "maxdelay") {
-        return fail("bad faults line (maxdelay)");
+      if (!(in >> key) || key != "maxdelay" ||
+          !readTime(in, sc.faults.maxExtraDelay)) {
+        return badTime("faults maxdelay");
       }
-      if (!(in >> key >> sc.faults.jitter) || key != "jitter") {
-        return fail("bad faults line (jitter)");
+      if (!(in >> key) || key != "jitter" || !readTime(in, sc.faults.jitter)) {
+        return badTime("faults jitter");
       }
       if (!(in >> key >> sc.faults.seed) || key != "seed") {
         return fail("bad faults line (seed)");
       }
     } else if (word == "crash") {
       sc.crash.enabled = true;
-      if (!(in >> sc.crash.nodeIndex >> sc.crash.at)) {
-        return fail("bad crash line");
-      }
+      if (!(in >> sc.crash.nodeIndex)) return fail("bad crash line");
+      if (!readTime(in, sc.crash.at)) return badTime("crash time");
       if (sc.crash.nodeIndex < 0) return fail("crash node index negative");
       if (sc.crash.at <= 0) return fail("crash time must be positive");
     } else if (word == "rank") {

@@ -21,6 +21,16 @@ struct Overloaded : Ts... {
 template <class... Ts>
 Overloaded(Ts...) -> Overloaded<Ts...>;
 
+/// Maximum changed-process fraction for which the root warm-starts the
+/// release fixpoint from the previous round's released set; above it the
+/// check falls back to a full cold run.
+constexpr double kWarmStartThreshold = 0.5;
+/// Timeline points kept before the ring folds into its base snapshot.
+constexpr std::size_t kTimelineCapacity = 512;
+/// A node is stale when the root saw no health row from it for more than
+/// kHealthStaleFactor * healthBeatInterval virtual ns.
+constexpr double kHealthStaleFactor = 2.0;
+
 std::uint64_t wallNs(std::chrono::steady_clock::time_point a,
                      std::chrono::steady_clock::time_point b) {
   return static_cast<std::uint64_t>(
@@ -138,14 +148,6 @@ struct DistributedTool::NodeState : waitstate::Comms {
   std::uint32_t lastReplyEpoch = 0;
   std::vector<std::size_t> lastCondBytes;
 
-  // Ping pruning (first layer): the ping candidates and skips of the round
-  // in flight, plus the per-peer (dataSent, dataDelivered) snapshot taken at
-  // the last wait-info reply — the moment the links are provably drained.
-  std::vector<NodeId> pingCandidates;
-  std::vector<NodeId> skippedPeers;
-  std::unordered_map<NodeId, std::pair<std::uint64_t, std::uint64_t>>
-      cutActivity;
-
   // Inner-node wait-info aggregation: one merged delta per child subtree,
   // forwarded once every child reported.
   WaitInfoMsg pendingWaitInfo;
@@ -202,7 +204,7 @@ struct DistributedTool::NodeState : waitstate::Comms {
     if (tool.topology_.isFirstLayer(nodeId)) {
       waitstate::TrackerConfig cfg;
       cfg.blockingModel = tool.config_.blockingModel;
-      cfg.eagerThreshold = tool.config_.eagerThreshold;
+      cfg.eagerThreshold = tool.runtime_.config().eagerThreshold;
       cfg.consumedHistory = tool.config_.consumedHistory;
       cfg.metrics = &tool.metrics_;
       cfg.trace = trace;
@@ -353,18 +355,16 @@ DistributedTool::DistributedTool(sim::Scheduler& engine, mpi::Runtime& runtime,
     healthReackWaves_ = &metrics_.counter("health/reack_waves");
   }
 
-  incremental_.emplace(runtime_.procCount(), config_.warmStartThreshold);
+  incremental_.emplace(runtime_.procCount(), kWarmStartThreshold);
   procSends_.resize(static_cast<std::size_t>(runtime_.procCount()));
   procWildcards_.resize(static_cast<std::size_t>(runtime_.procCount()));
   // Unified suppressed-message accounting: one total plus a per-layer
   // breakdown, so every suppression layer's savings read against the same
-  // baseline (incremental + ping-prune previously reported bytes only).
+  // baseline.
   suppressedTotal_ = &metrics_.counter("tracker/suppressed_msgs");
   suppressedHybrid_ = &metrics_.counter("tracker/suppressed_msgs/hybrid");
   suppressedIncremental_ =
       &metrics_.counter("tracker/suppressed_msgs/incremental");
-  suppressedPingPrune_ =
-      &metrics_.counter("tracker/suppressed_msgs/ping_prune");
   certifiedOpsCounter_ = &metrics_.counter("tracker/certified_ops");
   phaseMarksCounter_ = &metrics_.counter("tracker/phase_marks");
   if (config_.certificate != nullptr && config_.certificate->active()) {
@@ -374,30 +374,9 @@ DistributedTool::DistributedTool(sim::Scheduler& engine, mpi::Runtime& runtime,
   }
 
   pingsSentCounter_ = &metrics_.counter("tool/pings_sent");
-  pingsSkippedCounter_ = &metrics_.counter("tool/pings_skipped");
-  pingSkipHazards_ = &metrics_.counter("tool/ping_skip_hazards");
   gatherSavedBytes_ = &metrics_.counter("tool/gather_saved_bytes");
   mergeSavedBytes_ = &metrics_.counter("tool/waitinfo_merge_saved_bytes");
   waitinfoFanin_ = &metrics_.histogram("tool/waitinfo_fanin");
-
-  // Ping pruning is sound only if an intralayer message in flight when a
-  // node freezes is delivered (and, FIFO, processed) strictly before the
-  // node's requestWaits arrives — which travels at least one tree-up plus
-  // one tree-down hop after the freeze. Batching adds up to one flush
-  // interval of staging delay on the sender.
-  {
-    sim::Duration slack = 0;
-    const auto& batch = config_.overlay.batch[static_cast<std::size_t>(
-        tbon::LinkClass::kIntralayer)];
-    if (batch) slack = batch->flushInterval;
-    pruneGateOk_ = config_.overlay.intralayer.latency + slack <
-                   config_.overlay.treeUp.latency +
-                       config_.overlay.treeDown.latency;
-    // Fault injection (retransmit delays, hold-backs, channel jitter)
-    // voids any latency-based guarantee that in-flight data outruns the
-    // requestWaits broadcast.
-    if (config_.overlay.faults.enabled) pruneGateOk_ = false;
-  }
 
   // Telemetry plane (DESIGN.md §16): instruments, the per-round timeline,
   // and the per-process overhead buckets exist only when enabled, so a
@@ -411,7 +390,7 @@ DistributedTool::DistributedTool(sim::Scheduler& engine, mpi::Runtime& runtime,
     ohResyncNs_ = &metrics_.counter("overhead/resync_ns");
     procOverhead_.resize(static_cast<std::size_t>(runtime_.procCount()));
     support::MetricsTimeline::Config tlc;
-    tlc.capacity = config_.timelineCapacity;
+    tlc.capacity = kTimelineCapacity;
     timeline_ = std::make_unique<support::MetricsTimeline>(metrics_, tlc);
   }
   if (config_.healthBeatInterval > 0) {
@@ -1008,26 +987,6 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
                 overlay_->sendUp(node, ToolMsg{std::move(info)}, bytes);
               }
             }
-            // The drain guarantee holds here (post-sync): flag skipped
-            // links that saw data-plane traffic during the stopped window,
-            // then snapshot this round's candidate links as the next cut.
-            for (const NodeId peer : ns.skippedPeers) {
-              const auto it = ns.cutActivity.find(peer);
-              if (it != ns.cutActivity.end() &&
-                  (it->second.first !=
-                       overlay_->intralayerDataSent(node, peer) ||
-                   it->second.second !=
-                       overlay_->intralayerDataDelivered(node, peer))) {
-                pingSkipHazards_->add();
-              }
-            }
-            ns.skippedPeers.clear();
-            for (const NodeId peer : ns.pingCandidates) {
-              ns.cutActivity[peer] = {
-                  overlay_->intralayerDataSent(node, peer),
-                  overlay_->intralayerDataDelivered(node, peer)};
-            }
-            ns.pingCandidates.clear();
             if (ns.trace) {
               ns.trace->spanEnd("stopped", "consistent", "reported", reported);
             }
@@ -1315,7 +1274,6 @@ void DistributedTool::scheduleCrashPlan() {
 }
 
 bool DistributedTool::maybeInitiateRecovery() {
-  if (!config_.crashRecovery) return false;
   if (recovery_) return true;
   for (const ToolConfig::CrashPlanEntry& entry : config_.crashPlan) {
     if (entry.at <= engine_.now() && recoveredNodes_.count(entry.node) == 0) {
@@ -1558,41 +1516,14 @@ void DistributedTool::handleRequestConsistentState(NodeId node,
   std::sort(peers.begin(), peers.end());
   peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
 
-  // Ping pruning (DESIGN.md §10): a peer link that was drained at the last
-  // consistent cut and has carried no data-plane traffic in either
-  // direction since (sent from here, delivered here) is still drained, so
-  // the double ping-pong toward it proves nothing. Both counters are local
-  // to this node's LP. Never skip the self ping-pong: it flushes the
-  // zero-latency self channel that same-node matching runs on.
-  ns.pingCandidates = peers;
-  ns.skippedPeers.clear();
-  const bool canPrune = config_.pruneConsistentPings && pruneGateOk_;
-  std::int32_t sent = 0;
   for (const NodeId peer : peers) {
-    if (canPrune && peer != node) {
-      const auto it = ns.cutActivity.find(peer);
-      if (it != ns.cutActivity.end() &&
-          it->second.first == overlay_->intralayerDataSent(node, peer) &&
-          it->second.second ==
-              overlay_->intralayerDataDelivered(node, peer)) {
-        ns.skippedPeers.push_back(peer);
-        pingsSkippedCounter_->add();
-        // A skipped double ping-pong elides four messages (2x ping/pong).
-        suppressedPingPrune_->add(4);
-        suppressedTotal_->add(4);
-        continue;
-      }
-    }
     pingsSentCounter_->add();
-    ++sent;
     // remaining=1: one more ping-pong follows — the double ping-pong.
     overlay_->sendIntralayer(node, peer, ToolMsg{PingMsg{node, 1, ns.epoch}},
                              12);
   }
-  if (ns.trace) {
-    ns.trace->instant("pings", "consistent", "sent", sent, "skipped",
-                      static_cast<std::int64_t>(ns.skippedPeers.size()));
-  }
+  const auto sent = static_cast<std::int32_t>(peers.size());
+  if (ns.trace) ns.trace->instant("pings", "consistent", "sent", sent);
   ns.outstandingPeers = sent;
   if (ns.outstandingPeers == 0) maybeAckConsistentState(node);
 }
@@ -1782,7 +1713,6 @@ void DistributedTool::finishDetection() {
   stats.buildNs = round.buildNs;
   stats.checkNs = round.checkNs;
   stats.pingsSent = pingsSentCounter_->value() - lastPingsSent_;
-  stats.pingsSkipped = pingsSkippedCounter_->value() - lastPingsSkipped_;
   stats.deadlock = round.check.deadlock;
   if (hier) {
     stats.hierarchical = true;
@@ -1791,7 +1721,6 @@ void DistributedTool::finishDetection() {
     stats.boundaryTargets = hier->boundaryTargets;
   }
   lastPingsSent_ = pingsSentCounter_->value();
-  lastPingsSkipped_ = pingsSkippedCounter_->value();
   roundStats_.push_back(stats);
 
   report_ = std::move(report);
@@ -1922,14 +1851,12 @@ void DistributedTool::completeHierarchicalRound(
   stats.gatherNs = static_cast<std::uint64_t>(gatherEnd_ - syncEnd_);
   stats.checkNs = wallNs(t0, t1);
   stats.pingsSent = pingsSentCounter_->value() - lastPingsSent_;
-  stats.pingsSkipped = pingsSkippedCounter_->value() - lastPingsSkipped_;
   stats.deadlock = hier.deadlock;
   stats.hierarchical = true;
   stats.boundaryNodes = hier.boundaryNodes;
   stats.boundaryArcs = hier.boundaryArcs;
   stats.boundaryTargets = hier.boundaryTargets;
   lastPingsSent_ = pingsSentCounter_->value();
-  lastPingsSkipped_ = pingsSkippedCounter_->value();
   roundStats_.push_back(stats);
 
   report_ = std::move(report);
@@ -2048,8 +1975,7 @@ void DistributedTool::integrateHealthRows(std::vector<HealthBeatRow>& rows) {
 void DistributedTool::sweepStaleHealth() {
   const auto now = static_cast<std::uint64_t>(engine_.now());
   const auto threshold = static_cast<std::uint64_t>(
-      config_.healthStaleFactor *
-      static_cast<double>(config_.healthBeatInterval));
+      kHealthStaleFactor * static_cast<double>(config_.healthBeatInterval));
   std::int64_t stale = 0;
   for (std::size_t n = 0; n < fleetHealth_.size(); ++n) {
     NodeHealth& h = fleetHealth_[n];
@@ -2067,8 +1993,7 @@ void DistributedTool::sweepStaleHealth() {
     const bool nowStale = now >= threshold && now - h.arrivedAtNs >= threshold;
     if (nowStale && !h.stale) {
       healthStaleFlags_->add();
-    } else if (nowStale && h.stale && config_.crashRecovery &&
-               innerNodeEligible(node)) {
+    } else if (nowStale && h.stale && innerNodeEligible(node)) {
       // Confirm-then-act: stale across two consecutive sweeps. A node that
       // resumed beating between sweeps never reaches this branch.
       initiateRecovery(node);

@@ -54,7 +54,6 @@ namespace wst::must {
 struct ToolConfig {
   std::int32_t fanIn = 4;
   trace::BlockingModel blockingModel = trace::BlockingModel::kConservative;
-  mpi::Bytes eagerThreshold = 4096;
 
   tbon::OverlayConfig overlay{};
 
@@ -134,16 +133,6 @@ struct ToolConfig {
   /// unchanged count), and the root applies the delta to a persistent
   /// wait-for graph. Off = every round gathers and rebuilds everything.
   bool incrementalGather = true;
-  /// Maximum changed-process fraction for which the root warm-starts the
-  /// release fixpoint from the previous round's released set; above it the
-  /// check falls back to a full cold run (<= 0 forces full checks).
-  double warmStartThreshold = 0.5;
-  /// Skip the consistent-state double ping-pong toward peers whose
-  /// intralayer data-plane links saw no traffic since the last detection
-  /// round (per-link activity counters in the overlay). Only engages when
-  /// channel latencies guarantee in-flight messages outrun the requestWaits
-  /// broadcast (see DESIGN.md §10); conservative and off by default.
-  bool pruneConsistentPings = false;
   /// Run the full rebuild + cold check next to every incremental round and
   /// count divergences in verdict, deadlock set, or DOT output.
   bool verifyIncremental = false;
@@ -193,18 +182,14 @@ struct ToolConfig {
   /// on a single predictable branch and registers no extra instruments, so
   /// metrics dumps and schedules are bit-identical to pre-telemetry runs.
   bool telemetry = false;
-  /// Retained timeline points before the ring folds into its base snapshot.
-  std::size_t timelineCapacity = 512;
 
   /// Virtual-ns interval of the in-tree health beats (0 = no beats). Every
   /// TBON node periodically sends a HealthBeatRow toward the root on a
   /// cadence timer (sim::Scheduler::scheduleCadenceOn), so beats observe the
   /// run without keeping it alive; the root maintains the fleet health
-  /// table and flags nodes whose rows stop arriving.
+  /// table and flags a node stale once no row from it arrived for
+  /// kHealthStaleFactor intervals (tool.cpp).
   sim::Duration healthBeatInterval = 0;
-  /// A node is stale when the root saw no row from it for more than
-  /// healthStaleFactor * healthBeatInterval virtual ns.
-  double healthStaleFactor = 2.0;
   /// Test hook: this node never schedules its beat timer (a silent node the
   /// root must flag stale). -1 = none.
   tbon::NodeId muteHealthBeatNode = -1;
@@ -220,18 +205,14 @@ struct ToolConfig {
   /// Crash-stop plan (tests / fuzzing): each entry kills one *inner* tool
   /// node (never the root, never a first-layer node) at a virtual time. The
   /// overlay drops everything addressed to the victim from then on; the
-  /// root recovers by re-parenting the victim's children (see
-  /// crashRecovery). The plan is root-visible static configuration — the
-  /// process supervisor of a real deployment knows which container died.
+  /// root recovers by re-parenting the victim's children (DESIGN.md §17).
+  /// The plan is root-visible static configuration — the process
+  /// supervisor of a real deployment knows which container died.
   struct CrashPlanEntry {
     tbon::NodeId node = -1;
     sim::Time at = 0;
   };
   std::vector<CrashPlanEntry> crashPlan{};
-  /// Master switch of the re-parenting reaction. Off = crashed nodes stay
-  /// dark and their subtree's protocol state is simply lost (only useful to
-  /// demonstrate why recovery is needed).
-  bool crashRecovery = true;
 };
 
 class DistributedTool : public mpi::Interposer {
@@ -277,7 +258,7 @@ class DistributedTool : public mpi::Interposer {
   }
 
   /// Per-detection-round statistics (delta sizes, warm-start behavior,
-  /// ping pruning) in completion order; drives the detection bench and the
+  /// pings) in completion order; drives the detection bench and the
   /// differential tests.
   struct RoundStats {
     std::uint32_t epoch = 0;
@@ -292,7 +273,6 @@ class DistributedTool : public mpi::Interposer {
     std::uint64_t buildNs = 0;   // wall: delta apply + (re)prune
     std::uint64_t checkNs = 0;   // wall: (seeded) deadlock check
     std::uint64_t pingsSent = 0;
-    std::uint64_t pingsSkipped = 0;
     bool deadlock = false;
     /// Hierarchical check (when the condensed path ran this round): the
     /// boundary nodes and residual clause target runs the root resolved —
@@ -614,9 +594,6 @@ class DistributedTool : public mpi::Interposer {
   std::vector<wfg::NodeConditions> detailConds_;
   std::uint32_t detailMsgsAtRoot_ = 0;
   std::uint32_t hierarchicalDivergences_ = 0;
-  /// True when channel latencies let in-flight intralayer data outrun the
-  /// requestWaits broadcast (precondition for ping pruning).
-  bool pruneGateOk_ = false;
 
   // Hybrid sampling state: per-rank watermark (from the certificate) and
   // suppressed-record count; the resync fires when the count reaches the
@@ -629,19 +606,15 @@ class DistributedTool : public mpi::Interposer {
   support::Counter* suppressedTotal_ = nullptr;
   support::Counter* suppressedHybrid_ = nullptr;
   support::Counter* suppressedIncremental_ = nullptr;
-  support::Counter* suppressedPingPrune_ = nullptr;
   support::Counter* certifiedOpsCounter_ = nullptr;
   support::Counter* phaseMarksCounter_ = nullptr;
 
   // Live instruments for the incremental pipeline.
   support::Counter* pingsSentCounter_ = nullptr;
-  support::Counter* pingsSkippedCounter_ = nullptr;
-  support::Counter* pingSkipHazards_ = nullptr;
   support::Counter* gatherSavedBytes_ = nullptr;
   support::Counter* mergeSavedBytes_ = nullptr;
   support::Histogram* waitinfoFanin_ = nullptr;
   std::uint64_t lastPingsSent_ = 0;
-  std::uint64_t lastPingsSkipped_ = 0;
 
   // Telemetry plane (DESIGN.md §16). The timeline and overhead instruments
   // exist only with ToolConfig::telemetry, the health members only with

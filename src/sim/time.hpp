@@ -22,6 +22,10 @@ inline constexpr Duration kMicrosecond = 1'000;
 inline constexpr Duration kMillisecond = 1'000'000;
 inline constexpr Duration kSecond = 1'000'000'000;
 
+/// Largest duration accepted from outside input (CLI flags, `.wst` files):
+/// a clock that adds a few of them stays far below 2^64 ns.
+inline constexpr Duration kMaxInputDuration = 1'000 * kSecond;
+
 /// Convert virtual nanoseconds to floating-point seconds for reporting.
 inline double toSeconds(Duration d) { return static_cast<double>(d) / 1e9; }
 

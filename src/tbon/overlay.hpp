@@ -185,8 +185,6 @@ class Overlay {
         cost_(std::move(cost)),
         nodes_(static_cast<std::size_t>(topology.nodeCount())),
         links_(static_cast<std::size_t>(topology.nodeCount())),
-        dataSent_(static_cast<std::size_t>(topology.nodeCount())),
-        dataDelivered_(static_cast<std::size_t>(topology.nodeCount())),
         crashed_(static_cast<std::size_t>(topology.nodeCount()), 0) {
     liveParent_.reserve(static_cast<std::size_t>(topology.nodeCount()));
     for (NodeId n = 0; n < topology.nodeCount(); ++n) {
@@ -364,9 +362,6 @@ class Overlay {
     WST_ASSERT(topology_.node(from).layer == topology_.node(to).layer,
                "sendIntralayer requires same-layer nodes");
     count(LinkClass::kIntralayer, bytes);
-    if (!batchable_ || batchable_(msg)) {
-      ++dataSent_[static_cast<std::size_t>(from)][to];
-    }
     sendOnLink(link(from, to, config_.intralayer, LinkClass::kIntralayer),
                std::move(msg), bytes);
   }
@@ -430,26 +425,6 @@ class Overlay {
       backlog += link.inflight.size();
     }
     return backlog;
-  }
-
-  /// Per-directed-link activity of the intralayer *data plane* (messages the
-  /// batchable predicate accepts — the wait-state algorithm's traffic; the
-  /// consistent-state control plane is excluded so observing activity never
-  /// perpetuates itself). Both counters for a node N live on N's LP:
-  /// intralayerDataSent(N, to) counts sends N performed,
-  /// intralayerDataDelivered(N, from) counts messages N's handler received
-  /// from `from`. The consistent-state handler uses snapshots of these to
-  /// skip the double ping-pong toward links with no traffic since the last
-  /// detection round.
-  std::uint64_t intralayerDataSent(NodeId from, NodeId to) const {
-    const auto& shard = dataSent_[static_cast<std::size_t>(from)];
-    const auto it = shard.find(to);
-    return it == shard.end() ? 0 : it->second;
-  }
-  std::uint64_t intralayerDataDelivered(NodeId at, NodeId from) const {
-    const auto& shard = dataDelivered_[static_cast<std::size_t>(at)];
-    const auto it = shard.find(from);
-    return it == shard.end() ? 0 : it->second;
   }
 
   // --- Crash-stop faults + live-tree routing (DESIGN.md §17) -----------------
@@ -590,8 +565,8 @@ class Overlay {
     stats.bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
 
-  /// `srcNode` is the sending tool node (-1 for application channels); it
-  /// feeds the per-link data-plane activity counters at delivery.
+  /// `srcNode` is the sending tool node (-1 for application channels); the
+  /// reliable layer acks toward it and the delivery trace hook receives it.
   std::unique_ptr<Chan> makeChannel(NodeId dest, sim::ChannelConfig cfg,
                                     LinkClass linkClass, sim::LpId producer,
                                     NodeId srcNode = -1) {
@@ -841,15 +816,6 @@ class Overlay {
       WST_ASSERT(bc.has_value(), "multi-message envelope on unbatched class");
       restScale = static_cast<float>(bc->amortizedCostFactor);
     }
-    if (linkClass == LinkClass::kIntralayer && srcNode >= 0) {
-      // Mirror the sender-side data-plane count (batch members are always
-      // batchable; a single may be a control-plane bypass — test it).
-      std::uint64_t dataMsgs = env.rest.size();
-      if (!batchable_ || batchable_(env.first)) ++dataMsgs;
-      if (dataMsgs > 0) {
-        dataDelivered_[static_cast<std::size_t>(dest)][srcNode] += dataMsgs;
-      }
-    }
     enqueue(node, std::move(env.first), origin, 1.0F, srcNode);
     for (M& msg : env.rest) {
       enqueue(node, std::move(msg), origin, restScale, srcNode);
@@ -933,11 +899,6 @@ class Overlay {
   // references must stay stable across insertions (flush timers hold
   // them): unordered_map guarantees that for mapped values.
   std::vector<std::unordered_map<std::uint32_t, Link>> links_;
-  /// Intralayer data-plane activity, sharded so each map is only touched by
-  /// its owner node's LP: dataSent_[n][to] on n's (producer) LP,
-  /// dataDelivered_[n][from] on n's (receiver) LP.
-  std::vector<std::unordered_map<NodeId, std::uint64_t>> dataSent_;
-  std::vector<std::unordered_map<NodeId, std::uint64_t>> dataDelivered_;
   /// Crash-stop flags (entry written once, on the victim's LP; read on the
   /// paths that target the victim, which run on the same LP) and the live
   /// up-routing parent table (each entry owned by its node's LP).

@@ -18,10 +18,9 @@ std::uint64_t wallNs(std::chrono::steady_clock::time_point from,
 
 }  // namespace
 
-IncrementalWfg::IncrementalWfg(std::int32_t procCount,
-                               double warmStartThreshold)
+IncrementalWfg::IncrementalWfg(std::int32_t procCount, double warmThreshold)
     : procCount_(procCount),
-      threshold_(warmStartThreshold),
+      threshold_(warmThreshold),
       graph_(procCount),
       pristine_(static_cast<std::size_t>(procCount)),
       released_(static_cast<std::size_t>(procCount), 0),

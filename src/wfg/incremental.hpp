@@ -31,10 +31,10 @@ namespace wst::wfg {
 
 class IncrementalWfg {
  public:
-  /// `warmStartThreshold`: maximum changed-node fraction for which the check
-  /// is warm-started; above it (or when <= 0) every round runs a full
-  /// rebuild and cold check.
-  IncrementalWfg(std::int32_t procCount, double warmStartThreshold);
+  /// `warmThreshold`: maximum changed-node fraction for which the check is
+  /// warm-started; above it (or when <= 0) every round runs a full rebuild
+  /// and cold check.
+  IncrementalWfg(std::int32_t procCount, double warmThreshold);
 
   /// Stage the (unpruned) conditions of one changed process for the next
   /// commit. The first round must stage every process (the first gather is

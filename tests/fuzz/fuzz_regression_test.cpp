@@ -60,6 +60,66 @@ TEST(FuzzRegression, CorpusIsCommittedAndParses) {
   }
 }
 
+TEST(FuzzRegression, ParseRejectsOutOfRangeTimes) {
+  // Every virtual-time field of every corpus file, rewritten in turn to a
+  // negative or oversized value, must fail to parse with a diagnostic that
+  // names the field — never wrap into a huge unsigned time that aborts the
+  // replay. Each entry: line keyword, token index, field name in the error.
+  struct TimeField {
+    const char* keyword;
+    std::size_t token;
+    const char* name;
+  };
+  const TimeField fields[] = {
+      {"periodic", 1, "periodic"},
+      {"detection_jitter", 1, "detection_jitter"},
+      {"latency", 1, "latency"},
+      {"latency", 2, "latency"},
+      {"latency", 3, "latency"},
+      {"faults", 8, "maxdelay"},
+      {"faults", 10, "jitter"},
+      {"crash", 2, "crash time"},
+  };
+  const char* const badValues[] = {"-5", "-1", "1000000000001",
+                                   "9223372036854775000"};
+  std::size_t rewrites = 0;
+  for (const auto& file : corpusFiles()) {
+    std::ifstream in(file);
+    std::vector<std::vector<std::string>> lines;
+    for (std::string line; std::getline(in, line);) {
+      std::istringstream words(line);
+      lines.emplace_back();
+      for (std::string w; words >> w;) lines.back().push_back(w);
+    }
+    for (const TimeField& field : fields) {
+      for (auto& line : lines) {
+        if (line.empty() || line[0] != field.keyword) continue;
+        ASSERT_LT(field.token, line.size()) << file << " " << field.keyword;
+        const std::string original = line[field.token];
+        for (const char* bad : badValues) {
+          line[field.token] = bad;
+          std::string text;
+          for (const auto& words : lines) {
+            for (std::size_t i = 0; i < words.size(); ++i) {
+              text += (i > 0 ? " " : "") + words[i];
+            }
+            text += "\n";
+          }
+          std::string error;
+          EXPECT_FALSE(Scenario::parse(text, &error).has_value())
+              << file << ": " << field.keyword << " = " << bad;
+          EXPECT_NE(error.find(field.name), std::string::npos)
+              << file << ": " << bad << " gave '" << error << "'";
+          ++rewrites;
+        }
+        line[field.token] = original;
+      }
+    }
+  }
+  // Every file has the seven non-crash fields; crash files add one more.
+  EXPECT_GE(rewrites, corpusFiles().size() * 7 * std::size(badValues));
+}
+
 TEST(FuzzRegression, CorpusReplaysWithoutDivergence) {
   for (const auto& file : corpusFiles()) {
     const Scenario scenario = load(file);

@@ -137,7 +137,7 @@ TEST(ParallelDeterminism, WildcardDeadlockIsByteIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminism, PeriodicDetectionIsByteIdenticalAcrossThreadCounts) {
   // Periodic detection now runs on the root node's LP (no cross-LP reads),
   // so multi-round incremental detection must stay byte-identical for any
-  // worker count — including delta gathers, warm starts, and ping pruning.
+  // worker count — including delta gathers and warm starts.
   workloads::StressParams params;
   params.iterations = 25;
   params.neighborDistance = 4;
@@ -148,7 +148,6 @@ TEST(ParallelDeterminism, PeriodicDetectionIsByteIdenticalAcrossThreadCounts) {
   toolCfg.fanIn = 4;
   toolCfg.periodicDetection = 100 * sim::kMicrosecond;
   toolCfg.verifyIncremental = true;
-  toolCfg.pruneConsistentPings = true;
 
   const RunOutput base = runScenario(1, 16, mpiCfg, toolCfg, program);
   EXPECT_FALSE(base.deadlock);

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "fuzz/generator.hpp"
-#include "fuzz/interpreter.hpp"
+#include "fuzz/oracle.hpp"
 #include "fuzz/scenario.hpp"
 #include "must/serve.hpp"
 #include "support/strings.hpp"
@@ -21,30 +21,13 @@
 namespace wst::must {
 namespace {
 
-// Mirrors the `wst serve` session builder: the fuzz oracle's zero-overhead
-// tool configuration around a generated scenario.
+// The `wst serve` session builder: the fuzz oracle's zero-overhead tool
+// configuration around a generated scenario.
 SessionSpec makeSpec(std::int32_t index, std::uint64_t seed) {
-  const auto scenario =
-      std::make_shared<const fuzz::Scenario>(fuzz::makeScenario(seed));
-  SessionSpec spec;
-  spec.name = support::format("s%03d-%016llx", index,
-                              static_cast<unsigned long long>(seed));
-  spec.procs = scenario->procs;
-  spec.mpiConfig.ranksPerNode = 2;
-  spec.tool.fanIn = scenario->fanIn;
-  spec.tool.appEventCost = 0;
-  spec.tool.overlay.appToLeaf.credits = 0;
-  spec.tool.detectOnQuiescence = true;
-  spec.tool.periodicDetection = scenario->periodic;
-  spec.tool.detectionJitter = scenario->detectionJitter;
-  spec.tool.detectionJitterSeed = scenario->seed + 1;
-  spec.tool.maxPeriodicRounds = 64;
-  spec.tool.consumedHistory = scenario->consumedHistory;
-  spec.tool.overlay.intralayer.latency = scenario->latIntra;
-  spec.tool.overlay.treeUp.latency = scenario->latUp;
-  spec.tool.overlay.treeDown.latency = scenario->latDown;
-  spec.program = fuzz::scenarioProgram(scenario);
-  return spec;
+  return fuzz::sessionSpec(
+      support::format("s%03d-%016llx", index,
+                      static_cast<unsigned long long>(seed)),
+      std::make_shared<const fuzz::Scenario>(fuzz::makeScenario(seed)));
 }
 
 std::vector<SessionSpec> eightSessions() {

@@ -117,7 +117,7 @@ std::size_t liveWaveCount(const std::vector<NodeConditions>& latest) {
 TEST(IncrementalWfg, RandomDeltaSequencesMatchColdRebuild) {
   for (std::uint32_t seed = 0; seed < 20; ++seed) {
     std::mt19937 rng(seed);
-    IncrementalWfg inc(kProcs, /*warmStartThreshold=*/1.0);
+    IncrementalWfg inc(kProcs, /*warmThreshold=*/1.0);
     std::vector<NodeConditions> latest(kProcs);
     // First round stages everyone.
     for (trace::ProcId p = 0; p < kProcs; ++p) {
@@ -250,7 +250,7 @@ TEST(IncrementalWfg, WarmSeedInvalidationCoversJustifierChanges) {
 
 TEST(IncrementalWfg, ThresholdForcesFullRebuild) {
   std::mt19937 rng(7);
-  IncrementalWfg inc(kProcs, /*warmStartThreshold=*/0.25);
+  IncrementalWfg inc(kProcs, /*warmThreshold=*/0.25);
   for (trace::ProcId p = 0; p < kProcs; ++p) inc.stage(randomNode(p, rng));
   const auto first = inc.commit();
   EXPECT_TRUE(first.fullRebuild);

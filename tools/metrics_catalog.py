@@ -34,7 +34,7 @@ PREFIXES = [
     ("tool", "Detection pipeline: rounds, pings, gather savings, and"
              " verification divergence counts."),
     ("tracker", "Wait-state tracker: transitions, suppression layers"
-                " (hybrid / incremental / ping pruning), certified ops."),
+                " (hybrid / incremental), certified ops."),
     ("overhead", "Virtual-time overhead buckets of the telemetry plane"
                  " (DESIGN.md §16): per-call wrapper and sampled costs,"
                  " credit-gate waits, and per-round sync/gather/resync."),
@@ -83,7 +83,7 @@ DESCRIPTIONS = {
         " root's staleness sweep or the crash-plan scan (one per crash;"
         " flaps increment again).",
     "health/stale_nodes": "Tool nodes currently flagged stale at the root"
-        " (no beat within healthStaleFactor x interval; crashed nodes stay"
+        " (no beat within kHealthStaleFactor = 2 intervals; crashed nodes stay"
         " flagged after recovery).",
     "overhead/credit_wait_ns": "Virtual time ranks spent blocked on the"
         " batching credit gate.",
@@ -131,10 +131,7 @@ DESCRIPTIONS = {
         " from the persistent WFG.",
     "tool/max_window": "High-water tracked-operation window across the"
         " fleet.",
-    "tool/ping_skip_hazards": "Pruned links found to have carried"
-        " data-plane traffic during the stopped window.",
     "tool/pings_sent": "Timestamp pings sent for round synchronization.",
-    "tool/pings_skipped": "Timestamp pings elided by ping pruning.",
     "tool/transitions": "Wait-state transitions applied across all"
         " trackers.",
     "tool/verify_divergences": "Plain-vs-incremental verification"
@@ -159,7 +156,6 @@ DESCRIPTIONS = {
         " (sampling mode).",
     "tracker/suppressed_msgs/incremental": "Suppressed because the delta"
         " gather saw no change.",
-    "tracker/suppressed_msgs/ping_prune": "Suppressed by ping pruning.",
 }
 
 HEADER = """\

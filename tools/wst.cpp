@@ -14,7 +14,8 @@
 //   wst serve --sessions 16 --threads 4 --status-out /tmp/serve.json
 //
 // Exit code: 0 = clean run, 2 = deadlock reported, 1 = usage error,
-// 3 = --verify-incremental or fuzz oracle divergence.
+// 3 = divergence found by --verify-incremental, --verify-hierarchical,
+// --verify-hybrid, serve --verify-solo or the fuzz oracle.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -29,7 +30,7 @@
 #include "analysis/certificate.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/generator.hpp"
-#include "fuzz/interpreter.hpp"
+#include "fuzz/oracle.hpp"
 
 #include "must/harness.hpp"
 #include "must/serve.hpp"
@@ -70,9 +71,6 @@ struct Options {
   bool hybrid = false;         // static certificate + sampled tracking
   bool verifyHybrid = false;   // dual run, plain vs hybrid; exit 3 on any
                                // divergence in verdict/deadlocked/state
-  bool prunePings = false;     // skip ping-pong toward quiet peer links
-  double warmThreshold = 0.5;  // changed fraction above which a round
-                               // falls back to full rebuild + cold check
   std::string dotPath;
   std::string compressedDotPath;
   std::string htmlPath;
@@ -147,12 +145,6 @@ void printUsage() {
       "                           compare verdict, deadlocked set, and the\n"
       "                           terminal per-rank state; exit 3 on any\n"
       "                           divergence\n"
-      "  --prune-pings            skip the consistent-state ping-pong toward\n"
-      "                           peers whose links carried no wait-state\n"
-      "                           traffic since the last round\n"
-      "  --warm-threshold X       changed-node fraction above which a\n"
-      "                           round runs a full rebuild + cold check\n"
-      "                           instead of a warm start (default 0.5)\n"
       "  --compare                also run an untooled reference (slowdown)\n"
       "  --dot PATH               write the deadlock wait-for graph as DOT\n"
       "  --compressed-dot PATH    write the class-compressed DOT\n"
@@ -345,27 +337,10 @@ int runFuzz(int argc, char** argv) {
 /// tool configuration the fuzz oracle uses, so a served session's verdict is
 /// comparable with `wst fuzz --print-scenario seed` + replay.
 must::SessionSpec makeServeSession(std::int32_t index, std::uint64_t seed) {
-  const auto scenario =
-      std::make_shared<const fuzz::Scenario>(fuzz::makeScenario(seed));
-  must::SessionSpec spec;
-  spec.name = support::format("s%03d-%016llx", index,
-                              static_cast<unsigned long long>(seed));
-  spec.procs = scenario->procs;
-  spec.mpiConfig.ranksPerNode = 2;
-  spec.tool.fanIn = scenario->fanIn;
-  spec.tool.appEventCost = 0;
-  spec.tool.overlay.appToLeaf.credits = 0;
-  spec.tool.detectOnQuiescence = true;
-  spec.tool.periodicDetection = scenario->periodic;
-  spec.tool.detectionJitter = scenario->detectionJitter;
-  spec.tool.detectionJitterSeed = scenario->seed + 1;
-  spec.tool.maxPeriodicRounds = 64;
-  spec.tool.consumedHistory = scenario->consumedHistory;
-  spec.tool.overlay.intralayer.latency = scenario->latIntra;
-  spec.tool.overlay.treeUp.latency = scenario->latUp;
-  spec.tool.overlay.treeDown.latency = scenario->latDown;
-  spec.program = fuzz::scenarioProgram(scenario);
-  return spec;
+  return fuzz::sessionSpec(
+      support::format("s%03d-%016llx", index,
+                      static_cast<unsigned long long>(seed)),
+      std::make_shared<const fuzz::Scenario>(fuzz::makeScenario(seed)));
 }
 
 int runServe(int argc, char** argv) {
@@ -474,6 +449,18 @@ int runServe(int argc, char** argv) {
   return server.deadlocks() > 0 ? 2 : 0;
 }
 
+/// A virtual-millisecond flag value in ns. Negative, NaN (the comparison is
+/// false for it) or huge values are usage errors: their cast is undefined.
+sim::Duration durationMs(const std::string& flag, const char* text) {
+  const double ns = std::atof(text) * 1e6;
+  if (!(ns >= 0 && ns <= static_cast<double>(sim::kMaxInputDuration))) {
+    std::fprintf(stderr, "%s must be between 0 and %.0f (virtual ms)\n",
+                 flag.c_str(), sim::kMaxInputDuration / 1e6);
+    std::exit(1);
+  }
+  return static_cast<sim::Duration>(ns);
+}
+
 std::optional<mpi::Runtime::Program> makeWorkload(const Options& opt) {
   workloads::StressParams stress;
   stress.iterations = opt.iterations;
@@ -538,8 +525,6 @@ int runWorkload(const Options& opt) {
   toolCfg.verifyIncremental = opt.verifyIncremental;
   toolCfg.hierarchicalCheck = opt.hierarchicalCheck;
   toolCfg.verifyHierarchical = opt.verifyHierarchical;
-  toolCfg.pruneConsistentPings = opt.prunePings;
-  toolCfg.warmStartThreshold = opt.warmThreshold;
 
   // Any telemetry output implies the timeline + overhead accounting; health
   // beats stay a separate opt-in because they add protocol traffic.
@@ -860,17 +845,10 @@ int runWorkload(const Options& opt) {
     }
     std::printf(
         "round %u: %u changed + %u unchanged conditions, %s (%u repruned, "
-        "%u seeded)%s%s%s\n",
+        "%u seeded)%s%s\n",
         rs.epoch, rs.changed, rs.unchanged,
         rs.fullRebuild ? "full rebuild" : "warm start", rs.repruned,
         rs.seedReleased,
-        rs.pingsSkipped > 0
-            ? support::format(", %llu/%llu pings skipped",
-                              static_cast<unsigned long long>(rs.pingsSkipped),
-                              static_cast<unsigned long long>(
-                                  rs.pingsSkipped + rs.pingsSent))
-                  .c_str()
-            : "",
         rs.hierarchical
             ? support::format(", %llu boundary node(s)",
                               static_cast<unsigned long long>(
@@ -1004,7 +982,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--engine-stats") {
       opt.engineStats = true;
     } else if (arg == "--periodic-ms") {
-      opt.periodic = static_cast<sim::Duration>(std::atof(value()) * 1e6);
+      opt.periodic = durationMs(arg, value());
     } else if (arg == "--no-incremental") {
       opt.noIncremental = true;
     } else if (arg == "--verify-incremental") {
@@ -1017,10 +995,6 @@ int main(int argc, char** argv) {
       opt.hybrid = true;
     } else if (arg == "--verify-hybrid") {
       opt.verifyHybrid = true;
-    } else if (arg == "--prune-pings") {
-      opt.prunePings = true;
-    } else if (arg == "--warm-threshold") {
-      opt.warmThreshold = std::atof(value());
     } else if (arg == "--dot") {
       opt.dotPath = value();
     } else if (arg == "--compressed-dot") {
@@ -1038,9 +1012,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--status-out") {
       opt.statusOut = value();
     } else if (arg == "--status-interval-ms") {
-      opt.statusInterval = static_cast<sim::Duration>(std::atof(value()) * 1e6);
+      opt.statusInterval = durationMs(arg, value());
     } else if (arg == "--beat-interval-ms") {
-      opt.beatInterval = static_cast<sim::Duration>(std::atof(value()) * 1e6);
+      opt.beatInterval = durationMs(arg, value());
     } else if (arg == "--timeline-out") {
       opt.timelineOut = value();
     } else if (arg == "--mute-node") {

@@ -37,10 +37,10 @@ void collectTerminal(SessionResult& result, sim::Engine& engine,
   graph.pruneCollectiveCoWaiters();
   const wfg::CheckResult check = graph.check();
   std::string dot;
-  wfg::makeReport(graph, check,
-                  [&dot](std::string_view chunk) { dot += chunk; });
+  wfg::Report report = wfg::makeReport(
+      graph, check, [&dot](std::string_view chunk) { dot += chunk; });
   result.dot = std::move(dot);
-  result.summary = summaryLine(check);
+  result.summary = std::move(report.summary);
 }
 
 }  // namespace
@@ -193,11 +193,12 @@ std::string ServeServer::statusJson() const {
       static_cast<unsigned long long>(deadlocks_), active_.size());
   bool first = true;
   for (const SessionResult& r : results_) {
+    out += first ? "{\"name\": \"" : ", {\"name\": \"";
+    support::appendJsonEscaped(out, r.name);
     out += support::format(
-        "%s{\"name\": \"%s\", \"state\": \"%s\", \"deadlock\": %s, "
+        "\", \"state\": \"%s\", \"deadlock\": %s, "
         "\"detections\": %u, \"time_ns\": %lld, \"events\": %llu, "
         "\"rounds\": %llu}",
-        first ? "" : ", ", r.name.c_str(),
         r.evicted ? "evicted" : "completed", r.deadlock ? "true" : "false",
         r.detections, static_cast<long long>(r.completionTime),
         static_cast<unsigned long long>(r.eventsExecuted),
@@ -205,10 +206,11 @@ std::string ServeServer::statusJson() const {
     first = false;
   }
   for (const auto& s : active_) {
+    out += first ? "{\"name\": \"" : ", {\"name\": \"";
+    support::appendJsonEscaped(out, s->spec.name);
     out += support::format(
-        "%s{\"name\": \"%s\", \"state\": \"active\", \"time_ns\": %lld, "
+        "\", \"state\": \"active\", \"time_ns\": %lld, "
         "\"events\": %llu, \"rounds\": %llu}",
-        first ? "" : ", ", s->spec.name.c_str(),
         static_cast<long long>(s->engine.now()),
         static_cast<unsigned long long>(s->engine.eventsExecuted()),
         static_cast<unsigned long long>(s->result.rounds));

@@ -145,44 +145,59 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 std::string MetricsRegistry::toJson() const {
   std::lock_guard lock(mu_);
-  std::string out = "{\"counters\": {";
+  std::string out;
   bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    out += format("%s\"%s\": %llu", first ? "" : ", ",
-                  jsonEscape(name).c_str(),
-                  static_cast<unsigned long long>(counter.value()));
+  const auto key = [&](const std::string& name) {
+    out += first ? "\"" : ", \"";
     first = false;
+    appendJsonEscaped(out, name);
+    out += "\": ";
+  };
+  out += "{\"counters\": {";
+  for (const auto& [name, counter] : counters_) {
+    key(name);
+    appendInt(out, counter.value());
   }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
-    out += format("%s\"%s\": {\"value\": %lld, \"max\": %lld}",
-                  first ? "" : ", ", jsonEscape(name).c_str(),
-                  static_cast<long long>(gauge.value()),
-                  static_cast<long long>(gauge.max()));
-    first = false;
+    key(name);
+    out += "{\"value\": ";
+    appendInt(out, gauge.value());
+    out += ", \"max\": ";
+    appendInt(out, gauge.max());
+    out += '}';
   }
   out += "}, \"histograms\": {";
   first = true;
   for (const auto& [name, histogram] : histograms_) {
-    out += format(
-        "%s\"%s\": {\"count\": %llu, \"sum\": %llu, \"min\": %llu, "
-        "\"max\": %llu, \"mean\": %.3f, \"p50\": %.3f, \"p99\": %.3f, "
-        "\"buckets\": [",
-        first ? "" : ", ", jsonEscape(name).c_str(),
-        static_cast<unsigned long long>(histogram.count()),
-        static_cast<unsigned long long>(histogram.sum()),
-        static_cast<unsigned long long>(histogram.min()),
-        static_cast<unsigned long long>(histogram.max()), histogram.mean(),
-        histogram.quantile(0.5), histogram.quantile(0.99));
-    for (std::size_t b = 0; b < histogram.bucketEnd(); ++b) {
-      out += format("%s%llu", b == 0 ? "" : ", ",
-                    static_cast<unsigned long long>(histogram.bucket(b)));
+    key(name);
+    out += "{\"count\": ";
+    appendInt(out, histogram.count());
+    out += ", \"sum\": ";
+    appendInt(out, histogram.sum());
+    out += ", \"min\": ";
+    appendInt(out, histogram.min());
+    out += ", \"max\": ";
+    appendInt(out, histogram.max());
+    out += ", \"mean\": ";
+    appendFixed3(out, histogram.mean());
+    out += ", \"p50\": ";
+    appendFixed3(out, histogram.quantile(0.5));
+    out += ", \"p99\": ";
+    appendFixed3(out, histogram.quantile(0.99));
+    out += ", \"buckets\": [";
+    const std::size_t end = histogram.bucketEnd();
+    for (std::size_t b = 0; b < end; ++b) {
+      if (b != 0) out += ", ";
+      appendInt(out, histogram.bucket(b));
     }
     out += "]}";
-    first = false;
   }
   out += "}}";
+  // Callers keep the document (wst serve holds one per session), so hand it
+  // back without the spare capacity that growing it left.
+  out.shrink_to_fit();
   return out;
 }
 

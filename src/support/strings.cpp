@@ -1,24 +1,126 @@
 #include "support/strings.hpp"
 
+#include <array>
 #include <cstdarg>
 #include <cstdio>
 
+#include "support/assert.hpp"
+
 namespace wst::support {
 
+namespace {
+
+/// Append `text` with one escaping rule: `escape(c)` is the replacement for
+/// a character the rule escapes and empty for every other one. Runs of text
+/// that need no escape are copied in one piece.
+template <typename Escape>
+void appendEscaped(std::string& out, std::string_view text, Escape escape) {
+  std::size_t run = 0;  // start of the pending escape-free run
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const std::string_view replacement = escape(text[i]);
+    if (replacement.empty()) continue;
+    out.append(text.data() + run, i - run);
+    out.append(replacement);
+    run = i + 1;
+  }
+  out.append(text.data() + run, text.size() - run);
+}
+
+/// "\u00xx" for each control character below 0x20.
+constexpr auto kJsonControlEscapes = [] {
+  constexpr char kHex[] = "0123456789abcdef";
+  std::array<std::array<char, 6>, 0x20> table{};
+  for (std::size_t c = 0; c < table.size(); ++c) {
+    table[c] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+  }
+  return table;
+}();
+
+}  // namespace
+
 std::string format(const char* fmt, ...) {
+  // Nearly every caller formats one short line, which fits here without a
+  // separate sizing pass.
+  char stack[256];
   va_list args;
   va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, copy);
-  va_end(copy);
+  va_list retry;
+  va_copy(retry, args);
+  const int needed = std::vsnprintf(stack, sizeof stack, fmt, args);
+  va_end(args);
   std::string out;
   if (needed > 0) {
-    out.resize(static_cast<std::size_t>(needed));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+    const auto size = static_cast<std::size_t>(needed);
+    if (size < sizeof stack) {
+      out.assign(stack, size);
+    } else {
+      out.resize(size);
+      std::vsnprintf(out.data(), size + 1, fmt, retry);
+    }
   }
-  va_end(args);
+  va_end(retry);
   return out;
+}
+
+void appendFixed3(std::string& out, double value) {
+  // A sign, max_exponent10 + 1 integer digits, the point and three decimals:
+  // room for any finite double (inf and nan are shorter).
+  char buf[1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 + 3];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, value, std::chars_format::fixed, 3);
+  WST_ASSERT(r.ec == std::errc{}, "appendFixed3: buffer too small");
+  out.append(buf, r.ptr);
+}
+
+void appendWithCommas(std::string& out, std::uint64_t value) {
+  char digits[std::numeric_limits<std::uint64_t>::digits10 + 1];
+  const char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  const auto n = static_cast<std::size_t>(end - digits);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != 0 && (n - i) % 3 == 0) out.push_back(',');
+    out.push_back(digits[i]);
+  }
+}
+
+void appendHtmlEscaped(std::string& out, std::string_view text) {
+  appendEscaped(out, text, [](char c) -> std::string_view {
+    switch (c) {
+      case '&': return "&amp;";
+      case '<': return "&lt;";
+      case '>': return "&gt;";
+      case '"': return "&quot;";
+      default: return {};
+    }
+  });
+}
+
+void appendJsonEscaped(std::string& out, std::string_view text) {
+  appendEscaped(out, text, [](char c) -> std::string_view {
+    switch (c) {
+      case '"': return "\\\"";
+      case '\\': return "\\\\";
+      case '\b': return "\\b";
+      case '\f': return "\\f";
+      case '\n': return "\\n";
+      case '\r': return "\\r";
+      case '\t': return "\\t";
+      default: {
+        const auto u = static_cast<unsigned char>(c);
+        if (u >= kJsonControlEscapes.size()) return {};
+        return {kJsonControlEscapes[u].data(), kJsonControlEscapes[u].size()};
+      }
+    }
+  });
+}
+
+void appendDotEscaped(std::string& out, std::string_view text) {
+  appendEscaped(out, text, [](char c) -> std::string_view {
+    switch (c) {
+      case '"': return "\\\"";
+      case '\\': return "\\\\";
+      default: return {};
+    }
+  });
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
@@ -38,63 +140,29 @@ std::string formatDurationNs(std::uint64_t ns) {
 }
 
 std::string withCommas(std::uint64_t value) {
-  std::string digits = std::to_string(value);
   std::string out;
-  out.reserve(digits.size() + digits.size() / 3);
-  const std::size_t head = digits.size() % 3 == 0 ? 3 : digits.size() % 3;
-  for (std::size_t i = 0; i < digits.size(); ++i) {
-    if (i != 0 && (i + 3 - head) % 3 == 0) out.push_back(',');
-    out.push_back(digits[i]);
-  }
+  appendWithCommas(out, value);
   return out;
 }
 
 std::string htmlEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
+  appendHtmlEscaped(out, text);
   return out;
 }
 
 std::string jsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", static_cast<unsigned>(
-                                       static_cast<unsigned char>(c)));
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  appendJsonEscaped(out, text);
   return out;
 }
 
 std::string dotEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
+  appendDotEscaped(out, text);
   return out;
 }
 

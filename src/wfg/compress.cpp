@@ -149,33 +149,41 @@ std::uint64_t CompressedGraph::writeDot(
     bytes += s.size();
     sink(s);
   };
+  std::string line;  // one buffer for every line of the graph
   emit("digraph CompressedWaitForGraph {\n  rankdir=LR;\n");
   for (std::size_t i = 0; i < classes.size(); ++i) {
     const ProcessClass& cls = classes[i];
-    std::string label;
+    line.assign("  c");
+    support::appendInt(line, i);
+    line += " [shape=box, label=\"";
     if (cls.members.size() == 1) {
-      label = support::format("rank %d: %s", cls.members.front(),
-                              support::dotEscape(cls.description).c_str());
+      line += "rank ";
+      support::appendInt(line, cls.members.front());
+      line += ": ";
     } else {
-      label = support::format("%zu ranks (e.g. %d): %s", cls.members.size(),
-                              cls.members.front(),
-                              support::dotEscape(cls.description).c_str());
+      support::appendInt(line, cls.members.size());
+      line += " ranks (e.g. ";
+      support::appendInt(line, cls.members.front());
+      line += "): ";
     }
-    emit(support::format("  c%zu [shape=box, label=\"%s\"];\n", i,
-                         label.c_str()));
+    support::appendDotEscaped(line, cls.description);
+    line += "\"];\n";
+    emit(line);
   }
   for (const ClassArc& arc : arcs) {
-    std::string label;
+    line.assign("  c");
+    support::appendInt(line, arc.from);
+    line += " -> c";
+    support::appendInt(line, arc.to);
+    line += " [label=\"";
     if (arc.allToAll) {
-      label = "all-to-all";
+      line += "all-to-all";
     } else {
-      label = support::format("%s arcs",
-                              support::withCommas(arc.multiplicity).c_str());
+      support::appendWithCommas(line, arc.multiplicity);
+      line += " arcs";
     }
-    if (arc.orSemantics) label += " (OR)";
-    emit(support::format("  c%zu -> c%zu [label=\"%s\"%s];\n", arc.from,
-                         arc.to, label.c_str(),
-                         arc.orSemantics ? ", style=dashed" : ""));
+    line += arc.orSemantics ? " (OR)\", style=dashed];\n" : "\"];\n";
+    emit(line);
   }
   emit("}\n");
   return bytes;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "support/assert.hpp"
 #include "support/strings.hpp"
@@ -199,33 +198,50 @@ std::uint64_t WaitForGraph::writeDot(
     sink(s);
   };
 
-  std::unordered_set<trace::ProcId> filter(restrictTo.begin(),
-                                           restrictTo.end());
-  const auto included = [&](trace::ProcId proc) {
-    return filter.empty() || filter.contains(proc);
-  };
+  std::vector<char> included(nodes_.size(), restrictTo.empty() ? 1 : 0);
+  for (const trace::ProcId proc : restrictTo) {
+    WST_ASSERT(static_cast<std::size_t>(proc) < nodes_.size(),
+               "writeDot: restrictTo process out of range");
+    included[static_cast<std::size_t>(proc)] = 1;
+  }
 
+  // One line buffer for the whole graph; an arc line reuses its source's
+  // "  p<src> -> p" prefix.
+  std::string line;
   emit("digraph WaitForGraph {\n");
   emit("  rankdir=LR;\n");
   for (const auto& node : nodes_) {
-    if (!node.blocked || !included(node.proc)) continue;
-    emit(support::format("  p%d [label=\"%d: %s\"];\n", node.proc, node.proc,
-                         support::dotEscape(node.description).c_str()));
+    if (!node.blocked || !included[static_cast<std::size_t>(node.proc)]) {
+      continue;
+    }
+    line.assign("  p");
+    support::appendInt(line, node.proc);
+    line += " [label=\"";
+    support::appendInt(line, node.proc);
+    line += ": ";
+    support::appendDotEscaped(line, node.description);
+    line += "\"];\n";
+    emit(line);
   }
   for (const auto& node : nodes_) {
-    if (!node.blocked || !included(node.proc)) continue;
-    for (std::size_t c = 0; c < node.clauses.size(); ++c) {
-      const Clause& clause = node.clauses[c];
-      const bool orSemantics = clause.targets.size() > 1 &&
-                               clause.type == ClauseType::kPlain;
-      for (trace::ProcId t : clause.targets) {
-        if (!included(t)) continue;
-        if (orSemantics) {
-          emit(support::format("  p%d -> p%d [style=dashed, label=\"OR\"];\n",
-                               node.proc, t));
-        } else {
-          emit(support::format("  p%d -> p%d;\n", node.proc, t));
-        }
+    if (!node.blocked || !included[static_cast<std::size_t>(node.proc)]) {
+      continue;
+    }
+    line.assign("  p");
+    support::appendInt(line, node.proc);
+    line += " -> p";
+    const std::size_t prefix = line.size();
+    for (const Clause& clause : node.clauses) {
+      const std::string_view tail =
+          clause.targets.size() > 1 && clause.type == ClauseType::kPlain
+              ? " [style=dashed, label=\"OR\"];\n"
+              : ";\n";
+      for (const trace::ProcId t : clause.targets) {
+        if (!included[static_cast<std::size_t>(t)]) continue;
+        line.resize(prefix);
+        support::appendInt(line, t);
+        line += tail;
+        emit(line);
       }
     }
   }

@@ -6,17 +6,18 @@ namespace wst::wfg {
 
 std::string summaryLine(const CheckResult& check) {
   if (!check.deadlock) return "No deadlock detected.";
-  std::string cycle;
+  std::string out = "DEADLOCK: ";
+  support::appendInt(out, check.deadlocked.size());
+  out += " process(es) cannot continue";
   if (!check.cycle.empty()) {
-    std::vector<std::string> parts;
-    parts.reserve(check.cycle.size() + 1);
-    for (const auto proc : check.cycle) parts.push_back(std::to_string(proc));
-    parts.push_back(std::to_string(check.cycle.front()));
-    cycle = support::join(parts, " -> ");
+    out += ", representative cycle ";
+    for (const auto proc : check.cycle) {
+      support::appendInt(out, proc);
+      out += " -> ";
+    }
+    support::appendInt(out, check.cycle.front());
   }
-  return support::format(
-      "DEADLOCK: %zu process(es) cannot continue%s%s", check.deadlocked.size(),
-      cycle.empty() ? "" : ", representative cycle ", cycle.c_str());
+  return out;
 }
 
 Report makeReport(const WaitForGraph& graph, const CheckResult& check,
@@ -42,36 +43,43 @@ Report makeReport(const WaitForGraph& graph, const CheckResult& check,
   std::string& html = report.html;
   html += "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">";
   html += "<title>MUST-style deadlock report</title></head><body>\n";
-  html += support::format("<h1>%s</h1>\n",
-                          support::htmlEscape(report.summary).c_str());
+  html += "<h1>";
+  support::appendHtmlEscaped(html, report.summary);
+  html += "</h1>\n";
   if (check.deadlock) {
-    html += support::format(
-        "<p>Wait-for graph: %s arcs across %d processes.</p>\n",
-        support::withCommas(check.arcCount).c_str(), graph.procCount());
+    html += "<p>Wait-for graph: ";
+    support::appendWithCommas(html, check.arcCount);
+    html += " arcs across ";
+    support::appendInt(html, graph.procCount());
+    html += " processes.</p>\n";
     html += "<table border=\"1\"><tr><th>Process</th><th>Active call</th>"
             "<th>Wait-for conditions</th></tr>\n";
     constexpr std::size_t kMaxDetailed = 64;
     std::size_t shown = 0;
     for (const auto proc : check.deadlocked) {
       if (shown++ == kMaxDetailed) {
-        html += support::format(
-            "<tr><td colspan=\"3\">... and %zu further processes</td></tr>\n",
-            check.deadlocked.size() - kMaxDetailed);
+        html += "<tr><td colspan=\"3\">... and ";
+        support::appendInt(html, check.deadlocked.size() - kMaxDetailed);
+        html += " further processes</td></tr>\n";
         break;
       }
       const NodeConditions& node = graph.node(proc);
-      std::vector<std::string> reasons;
-      reasons.reserve(node.clauses.size());
-      for (const Clause& clause : node.clauses) {
-        reasons.push_back(clause.reason.empty()
-                              ? support::format("%zu dependencies",
-                                                clause.targets.size())
-                              : clause.reason);
+      html += "<tr><td>";
+      support::appendInt(html, proc);
+      html += "</td><td>";
+      support::appendHtmlEscaped(html, node.description);
+      html += "</td><td>";
+      for (std::size_t c = 0; c < node.clauses.size(); ++c) {
+        const Clause& clause = node.clauses[c];
+        if (c != 0) html += " AND ";
+        if (clause.reason.empty()) {
+          support::appendInt(html, clause.targets.size());
+          html += " dependencies";
+        } else {
+          support::appendHtmlEscaped(html, clause.reason);
+        }
       }
-      html += support::format(
-          "<tr><td>%d</td><td>%s</td><td>%s</td></tr>\n", proc,
-          support::htmlEscape(node.description).c_str(),
-          support::htmlEscape(support::join(reasons, " AND ")).c_str());
+      html += "</td></tr>\n";
     }
     html += "</table>\n";
   } else {

@@ -185,7 +185,8 @@ TEST(Serve, DuplicateNamesKeepCompletionOrderAtTheirFirstSubmission) {
 }
 
 TEST(Serve, StatusJsonCarriesSessionsTableAndCounters) {
-  const auto specs = eightSessions();
+  auto specs = eightSessions();
+  specs.back().name = "a\"b\\c";  // must come out JSON-escaped
   ServeServer::Config cfg;
   cfg.threads = 2;
   cfg.sessionCap = 4;
@@ -195,9 +196,11 @@ TEST(Serve, StatusJsonCarriesSessionsTableAndCounters) {
   const std::string json = server.statusJson();
   EXPECT_NE(json.find("\"schema\": \"wst-serve-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"sessions\": ["), std::string::npos);
-  for (const SessionSpec& spec : specs) {
-    EXPECT_NE(json.find(spec.name), std::string::npos) << spec.name;
+  for (std::size_t i = 0; i + 1 < specs.size(); ++i) {
+    EXPECT_NE(json.find(specs[i].name), std::string::npos) << specs[i].name;
   }
+  EXPECT_NE(json.find("{\"name\": \"a\\\"b\\\\c\", \"state\": \"completed\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"admitted\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"completed\": 8"), std::string::npos);
   EXPECT_EQ(server.deadlocks(),

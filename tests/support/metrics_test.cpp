@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace wst::support {
 namespace {
 
@@ -72,16 +76,44 @@ TEST(Metrics, JsonDumpIsSortedAndComplete) {
   MetricsRegistry registry;
   registry.counter("b").add(2);
   registry.counter("a").add(1);
+  registry.counter("max").add(std::numeric_limits<std::uint64_t>::max());
+  registry.counter("q\"b\\s\nc\x01").add(4);  // every JSON escape class
   registry.gauge("depth").set(9);
+  Gauge& negative = registry.gauge("neg");
+  negative.set(7);
+  negative.set(-5);
   registry.histogram("occ").record(3);
+  registry.histogram("empty");
+  for (const std::uint64_t v : {1, 2, 3, 100}) {
+    registry.histogram("lat").record(v);
+  }
+  Histogram& wide = registry.histogram("wide");
+  wide.record(0);
+  wide.record(std::uint64_t{1} << 63);
+  std::string wideBuckets = "[1";  // bucket 0 and bucket 64
+  for (int b = 1; b < 64; ++b) wideBuckets += ", 0";
+  wideBuckets += ", 1]";
   const std::string json = registry.toJson();
   EXPECT_EQ(json,
-            "{\"counters\": {\"a\": 1, \"b\": 2}, "
-            "\"gauges\": {\"depth\": {\"value\": 9, \"max\": 9}}, "
-            "\"histograms\": {\"occ\": {\"count\": 1, \"sum\": 3, "
+            "{\"counters\": {\"a\": 1, \"b\": 2, "
+            "\"max\": 18446744073709551615, \"q\\\"b\\\\s\\nc\\u0001\": 4}, "
+            "\"gauges\": {\"depth\": {\"value\": 9, \"max\": 9}, "
+            "\"neg\": {\"value\": -5, \"max\": 7}}, "
+            "\"histograms\": {\"empty\": {\"count\": 0, \"sum\": 0, "
+            "\"min\": 0, \"max\": 0, \"mean\": 0.000, "
+            "\"p50\": 0.000, \"p99\": 0.000, \"buckets\": []}, "
+            "\"lat\": {\"count\": 4, \"sum\": 106, \"min\": 1, \"max\": 100, "
+            "\"mean\": 26.500, \"p50\": 2.250, \"p99\": 2.985, "
+            "\"buckets\": [0, 1, 2, 0, 0, 0, 0, 1]}, "
+            "\"occ\": {\"count\": 1, \"sum\": 3, "
             "\"min\": 3, \"max\": 3, \"mean\": 3.000, "
             "\"p50\": 3.000, \"p99\": 3.000, "
-            "\"buckets\": [0, 0, 1]}}}");
+            "\"buckets\": [0, 0, 1]}, "
+            "\"wide\": {\"count\": 2, \"sum\": 9223372036854775808, "
+            "\"min\": 0, \"max\": 9223372036854775808, "
+            "\"mean\": 4611686018427387904.000, \"p50\": 0.000, "
+            "\"p99\": 0.000, \"buckets\": " +
+                wideBuckets + "}}}");
 }
 
 TEST(Metrics, JsonEmptyRegistry) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -59,6 +63,46 @@ TEST(Strings, Format) {
   EXPECT_EQ(format("%d + %d = %d", 1, 2, 3), "1 + 2 = 3");
   EXPECT_EQ(format("%s", ""), "");
   EXPECT_EQ(format("%.2f", 3.14159), "3.14");
+  // Longer than any stack buffer a short line fits in.
+  const std::string longText(1000, 'x');
+  EXPECT_EQ(format("%s|%d|%.3f", longText.c_str(), -42, 2.5),
+            longText + "|-42|2.500");
+}
+
+TEST(Strings, AppendFixed3MatchesPrintf) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                0.0005,
+                                0.0625,  // exact tie: rounds to even
+                                0.1875,
+                                2.5,
+                                1e-300,
+                                123456789.0125,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::denorm_min()};
+  // Every odd k / 16 is an exact tie at three decimals.
+  for (int k = 0; k < 4096; ++k) {
+    for (const double v : {k / 16.0, k / 1024.0, k / 1000.0}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  for (const double v : values) {
+    std::string out = "x";
+    appendFixed3(out, v);
+    EXPECT_EQ(out, "x" + format("%.3f", v)) << v;
+  }
+}
+
+TEST(Strings, AppendInt) {
+  std::string out;
+  appendInt(out, std::numeric_limits<std::int64_t>::min());
+  out += ' ';
+  appendInt(out, std::numeric_limits<std::uint64_t>::max());
+  out += ' ';
+  appendInt(out, std::int32_t{0});
+  EXPECT_EQ(out, "-9223372036854775808 18446744073709551615 0");
 }
 
 TEST(Strings, Join) {
@@ -88,6 +132,12 @@ TEST(Strings, HtmlEscape) {
 
 TEST(Strings, DotEscape) {
   EXPECT_EQ(dotEscape("a\"b\\c"), "a\\\"b\\\\c");
+}
+
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(jsonEscape("plain"), "plain");
+  EXPECT_EQ(jsonEscape("a\"b\\c\b\f\n\r\t\x01\x1f "),
+            "a\\\"b\\\\c\\b\\f\\n\\r\\t\\u0001\\u001f ");
 }
 
 }  // namespace

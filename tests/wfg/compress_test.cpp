@@ -41,7 +41,13 @@ TEST(Compress, WildcardAllToAllCollapsesToOneClass) {
             static_cast<std::uint64_t>(p) * (p - 1));
   EXPECT_EQ(c.representedArcs, static_cast<std::uint64_t>(p) * (p - 1));
   // The compressed DOT is tiny compared to the p² original.
-  EXPECT_LT(c.toDot().size(), 512u);
+  EXPECT_EQ(c.toDot(),
+            "digraph CompressedWaitForGraph {\n"
+            "  rankdir=LR;\n"
+            "  c0 [shape=box, label=\"64 ranks (e.g. 0): Recv(from:ANY, "
+            "tag:-1)\"];\n"
+            "  c0 -> c0 [label=\"all-to-all (OR)\", style=dashed];\n"
+            "}\n");
   EXPECT_NE(c.summary().find("Recv"), std::string::npos);
 }
 
@@ -82,6 +88,16 @@ TEST(Compress, RefinementSplitsByTargetClass) {
   const CompressedGraph c = compress(g);
   // Classes: {0,1} (Send->Recv), {2} (Send->Send), {3,4} (Recv->Send).
   EXPECT_EQ(c.classes.size(), 3u);
+  EXPECT_EQ(c.toDot(),
+            "digraph CompressedWaitForGraph {\n"
+            "  rankdir=LR;\n"
+            "  c0 [shape=box, label=\"2 ranks (e.g. 0): Send(to:3)\"];\n"
+            "  c1 [shape=box, label=\"rank 2: Send(to:0)\"];\n"
+            "  c2 [shape=box, label=\"2 ranks (e.g. 3): Recv(from:0)\"];\n"
+            "  c0 -> c2 [label=\"2 arcs\"];\n"
+            "  c1 -> c0 [label=\"1 arcs\"];\n"
+            "  c2 -> c0 [label=\"2 arcs\"];\n"
+            "}\n");
 }
 
 TEST(Compress, RestrictToSubset) {

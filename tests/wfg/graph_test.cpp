@@ -1,6 +1,8 @@
 // Wait-for graph construction and the release-fixpoint deadlock criterion.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "wfg/graph.hpp"
 #include "wfg/report.hpp"
 
@@ -190,19 +192,39 @@ TEST(WaitForGraph, CollectiveDeadlockWhenStragglerIsBlocked) {
   EXPECT_EQ(result.deadlocked.size(), 3u);
 }
 
-TEST(WaitForGraph, DotOutputContainsBlockedNodesAndArcs) {
-  WaitForGraph g(2);
-  auto n0 = blockedOn(0, {{1}});
-  n0.description = "Recv(from:1)";
+/// Four processes: 0 waits OR on {1, 2, 3} and on 1, 1 on 0, 2 in a
+/// collective on {0, 1}, 3 runs.
+WaitForGraph dotGraph() {
+  WaitForGraph g(4);
+  auto n0 = blockedOn(0, {{1, 2, 3}, {1}});
+  n0.description = "Recv(from:ANY) \"q\" \\ <&>";
   g.setNode(std::move(n0));
   auto n1 = blockedOn(1, {{0}});
-  n1.description = "Recv(from:0)";
+  n1.description = "Send(to:0)";
   g.setNode(std::move(n1));
-  const std::string dot = g.toDot();
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("p0 -> p1"), std::string::npos);
-  EXPECT_NE(dot.find("p1 -> p0"), std::string::npos);
-  EXPECT_NE(dot.find("Recv(from:1)"), std::string::npos);
+  auto n2 = blockedOn(2, {{0, 1}});
+  n2.clauses[0].type = ClauseType::kCollective;  // AND, drawn solid
+  n2.description = "Barrier()";
+  g.setNode(std::move(n2));
+  g.setNode(running(3));
+  return g;
+}
+
+TEST(WaitForGraph, DotOutputContainsBlockedNodesAndArcs) {
+  EXPECT_EQ(dotGraph().toDot(),
+            "digraph WaitForGraph {\n"
+            "  rankdir=LR;\n"
+            "  p0 [label=\"0: Recv(from:ANY) \\\"q\\\" \\\\ <&>\"];\n"
+            "  p1 [label=\"1: Send(to:0)\"];\n"
+            "  p2 [label=\"2: Barrier()\"];\n"
+            "  p0 -> p1 [style=dashed, label=\"OR\"];\n"
+            "  p0 -> p2 [style=dashed, label=\"OR\"];\n"
+            "  p0 -> p3 [style=dashed, label=\"OR\"];\n"
+            "  p0 -> p1;\n"
+            "  p1 -> p0;\n"
+            "  p2 -> p0;\n"
+            "  p2 -> p1;\n"
+            "}\n");
 }
 
 TEST(WaitForGraph, DotRestrictsToRequestedProcesses) {
@@ -210,9 +232,22 @@ TEST(WaitForGraph, DotRestrictsToRequestedProcesses) {
   g.setNode(blockedOn(0, {{1}}));
   g.setNode(blockedOn(1, {{0}}));
   g.setNode(blockedOn(2, {{0}}));
-  const std::string dot = g.toDot({0, 1});
-  EXPECT_NE(dot.find("p0 -> p1"), std::string::npos);
-  EXPECT_EQ(dot.find("p2"), std::string::npos);
+  EXPECT_EQ(g.toDot({0, 1}),
+            "digraph WaitForGraph {\n"
+            "  rankdir=LR;\n"
+            "  p0 [label=\"0: \"];\n"
+            "  p1 [label=\"1: \"];\n"
+            "  p0 -> p1;\n"
+            "  p1 -> p0;\n"
+            "}\n");
+  EXPECT_EQ(dotGraph().toDot({0, 2}),
+            "digraph WaitForGraph {\n"
+            "  rankdir=LR;\n"
+            "  p0 [label=\"0: Recv(from:ANY) \\\"q\\\" \\\\ <&>\"];\n"
+            "  p2 [label=\"2: Barrier()\"];\n"
+            "  p0 -> p2 [style=dashed, label=\"OR\"];\n"
+            "  p2 -> p0;\n"
+            "}\n");
 }
 
 TEST(WaitForGraph, WriteDotStreamsAndCountsBytes) {
@@ -236,11 +271,68 @@ TEST(Report, SummaryAndHtmlForDeadlock) {
   const auto check = g.check();
   const auto report = makeReport(g, check);
   EXPECT_TRUE(report.deadlock);
-  EXPECT_NE(report.summary.find("DEADLOCK"), std::string::npos);
-  EXPECT_NE(report.html.find("Recv(from:1)"), std::string::npos);
-  EXPECT_NE(report.html.find("waits for a send from rank 1"),
-            std::string::npos);
-  EXPECT_GT(report.dotBytes, 0u);
+  EXPECT_EQ(report.summary,
+            "DEADLOCK: 2 process(es) cannot continue, representative cycle "
+            "0 -> 1 -> 0");
+  EXPECT_EQ(summaryLine(check), report.summary);
+  EXPECT_EQ(report.html,
+            "<!DOCTYPE html>\n"
+            "<html><head><meta charset=\"utf-8\"><title>MUST-style deadlock "
+            "report</title></head><body>\n"
+            "<h1>DEADLOCK: 2 process(es) cannot continue, representative "
+            "cycle 0 -&gt; 1 -&gt; 0</h1>\n"
+            "<p>Wait-for graph: 2 arcs across 2 processes.</p>\n"
+            "<table border=\"1\"><tr><th>Process</th><th>Active call</th>"
+            "<th>Wait-for conditions</th></tr>\n"
+            "<tr><td>0</td><td>Recv(from:1)</td><td>waits for a send from "
+            "rank 1</td></tr>\n"
+            "<tr><td>1</td><td></td><td>1 dependencies</td></tr>\n"
+            "</table>\n"
+            "</body></html>\n");
+  EXPECT_EQ(report.dotBytes, g.toDot(check.deadlocked).size());
+}
+
+TEST(Report, HtmlDetailsAtMost64Processes) {
+  // A 70-rank ring: each rank waits on its successor (with a reason) AND on
+  // one of the next two (without one).
+  const std::int32_t p = 70;
+  WaitForGraph g(p);
+  for (trace::ProcId i = 0; i < p; ++i) {
+    const std::string next = std::to_string((i + 1) % p);
+    auto node = blockedOn(i, {{(i + 1) % p}, {(i + 2) % p, (i + 3) % p}});
+    node.description = "Send<&>(to:" + next + ")";
+    node.clauses[0].reason = "waits for \"recv\" from " + next;
+    g.setNode(std::move(node));
+  }
+  const auto report = makeReport(g, g.check());
+  std::string cycle = "0";
+  for (int i = 1; i < p; ++i) cycle += " -> " + std::to_string(i);
+  cycle += " -> 0";
+  EXPECT_EQ(report.summary,
+            "DEADLOCK: 70 process(es) cannot continue, representative cycle " +
+                cycle);
+  std::string html =
+      "<!DOCTYPE html>\n"
+      "<html><head><meta charset=\"utf-8\"><title>MUST-style deadlock "
+      "report</title></head><body>\n"
+      "<h1>DEADLOCK: 70 process(es) cannot continue, representative cycle ";
+  for (int i = 0; i < p; ++i) html += std::to_string(i) + " -&gt; ";
+  html +=
+      "0</h1>\n"
+      "<p>Wait-for graph: 210 arcs across 70 processes.</p>\n"
+      "<table border=\"1\"><tr><th>Process</th><th>Active call</th>"
+      "<th>Wait-for conditions</th></tr>\n";
+  for (int i = 0; i < 64; ++i) {
+    const std::string next = std::to_string(i + 1);
+    html += "<tr><td>" + std::to_string(i) + "</td><td>Send&lt;&amp;&gt;(to:" +
+            next + ")</td><td>waits for &quot;recv&quot; from " + next +
+            " AND 2 dependencies</td></tr>\n";
+  }
+  html +=
+      "<tr><td colspan=\"3\">... and 6 further processes</td></tr>\n"
+      "</table>\n"
+      "</body></html>\n";
+  EXPECT_EQ(report.html, html);
 }
 
 TEST(Report, NoDeadlockSummary) {

@@ -17,14 +17,18 @@
 // 3 = divergence found by --verify-incremental, --verify-hierarchical,
 // --verify-hybrid, serve --verify-solo or the fuzz oracle.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/certificate.hpp"
@@ -154,7 +158,8 @@ void printUsage() {
       "                           Chrome trace-event JSON (load in Perfetto\n"
       "                           or chrome://tracing)\n"
       "  --trace-depth N          flight-recorder ring capacity per track\n"
-      "                           (default: 4096 events; oldest drop first)\n"
+      "                           (default: 4096 events, at least 16;\n"
+      "                           oldest drop first)\n"
       "  --telemetry              per-round metric timeline + overhead\n"
       "                           self-accounting (implied by the flags\n"
       "                           below and by `wst top`)\n"
@@ -228,6 +233,61 @@ void printUsage() {
       "  3 = --verify-solo parity mismatch\n");
 }
 
+/// The one parser behind every numeric flag: the whole of `text` must spell
+/// a T in [lo, hi]. Anything else is a usage error that names the flag, the
+/// accepted range and the text, and exits 1. `base` 0 is strtoull's seed
+/// syntax: 0x for hex, a leading 0 for octal, decimal otherwise.
+template <typename T>
+T parseNumber(const std::string& flag, std::string_view text, T lo,
+              T hi = std::numeric_limits<T>::max(), int base = 10) {
+  std::string_view digits = text;
+  if (base == 0) {
+    base = 10;
+    if (digits.size() > 1 && digits[0] == '0') {
+      const bool hex = digits[1] == 'x' || digits[1] == 'X';
+      base = hex ? 16 : 8;
+      digits.remove_prefix(hex ? 2 : 1);
+    }
+  }
+  const char* end = digits.data() + digits.size();
+  T value{};
+  std::from_chars_result parsed;
+  if constexpr (std::is_floating_point_v<T>) {
+    parsed = std::from_chars(digits.data(), end, value);
+  } else {
+    parsed = std::from_chars(digits.data(), end, value, base);
+  }
+  // Written so that NaN fails the range check.
+  if (parsed.ec == std::errc{} && parsed.ptr == end && value >= lo &&
+      value <= hi) {
+    return value;
+  }
+  const auto bound = [](T v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      return support::format("%.17g", static_cast<double>(v));
+    } else {
+      return std::to_string(v);
+    }
+  };
+  std::string expected =
+      std::is_floating_point_v<T> ? "a number" : "an integer";
+  if (hi != std::numeric_limits<T>::max()) {
+    expected += " from " + bound(lo) + " to " + bound(hi);
+  } else if (lo != std::numeric_limits<T>::lowest()) {
+    expected += " >= " + bound(lo);
+  }
+  std::fprintf(stderr, "%s: expected %s, got '%.*s'\n", flag.c_str(),
+               expected.c_str(), static_cast<int>(text.size()), text.data());
+  std::exit(1);
+}
+
+/// A 64-bit seed in strtoull's base-0 syntax.
+std::uint64_t parseSeed(const std::string& flag, std::string_view text) {
+  return parseNumber<std::uint64_t>(flag, text, 0,
+                                    std::numeric_limits<std::uint64_t>::max(),
+                                    0);
+}
+
 int runFuzz(int argc, char** argv) {
   fuzz::FuzzConfig cfg;
   cfg.runs = 100;
@@ -244,11 +304,11 @@ int runFuzz(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--runs") {
-      cfg.runs = std::atoi(value());
+      cfg.runs = parseNumber<std::int32_t>(arg, value(), 1);
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(value(), nullptr, 0);
+      cfg.seed = parseSeed(arg, value());
     } else if (arg == "--threads") {
-      cfg.threads = std::atoi(value());
+      cfg.threads = parseNumber<std::int32_t>(arg, value(), 0);
     } else if (arg == "--batch") {
       cfg.batch = true;
     } else if (arg == "--hierarchical") {
@@ -265,21 +325,21 @@ int runFuzz(int argc, char** argv) {
         return 1;
       }
     } else if (arg == "--inject-bug") {
-      cfg.injectBug = std::atoi(value());
+      cfg.injectBug = parseNumber<std::int32_t>(arg, value(), 0);
     } else if (arg == "--out-dir") {
       cfg.outDir = value();
     } else if (arg == "--budget-sec") {
-      cfg.budgetSec = std::atof(value());
+      cfg.budgetSec = parseNumber(arg, value(), 0.0);
     } else if (arg == "--no-shrink") {
       cfg.shrinkOnDivergence = false;
     } else if (arg == "--shrink-budget") {
-      cfg.shrinkBudget = static_cast<std::size_t>(std::atoi(value()));
+      cfg.shrinkBudget = parseNumber<std::size_t>(arg, value(), 0);
     } else if (arg == "--emit-corpus") {
       cfg.emitCorpusDir = value();
     } else if (arg == "--replay") {
       replayPath = value();
     } else if (arg == "--print-scenario") {
-      printSeed = std::strtoull(value(), nullptr, 0);
+      printSeed = parseSeed(arg, value());
     } else if (arg == "--help" || arg == "-h") {
       printUsage();
       return 0;
@@ -325,10 +385,6 @@ int runFuzz(int argc, char** argv) {
     return reason.empty() ? 0 : 3;
   }
 
-  if (cfg.runs < 1) {
-    std::fprintf(stderr, "--runs must be at least 1\n");
-    return 1;
-  }
   const fuzz::FuzzReport report = fuzz::runFuzzCampaign(cfg, std::cout);
   return report.divergences > 0 ? 3 : 0;
 }
@@ -359,15 +415,15 @@ int runServe(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--sessions") {
-      sessions = std::atoi(value());
+      sessions = parseNumber<std::int32_t>(arg, value(), 1);
     } else if (arg == "--seed") {
-      seed = std::strtoull(value(), nullptr, 0);
+      seed = parseSeed(arg, value());
     } else if (arg == "--threads") {
-      cfg.threads = std::atoi(value());
+      cfg.threads = parseNumber<std::int32_t>(arg, value(), 1);
     } else if (arg == "--session-cap") {
-      cfg.sessionCap = std::atoi(value());
+      cfg.sessionCap = parseNumber<std::int32_t>(arg, value(), 1);
     } else if (arg == "--slice-events") {
-      cfg.sliceEvents = std::strtoull(value(), nullptr, 0);
+      cfg.sliceEvents = parseNumber<std::uint64_t>(arg, value(), 1);
     } else if (arg == "--status-out") {
       statusOut = value();
     } else if (arg == "--verify-solo") {
@@ -379,15 +435,6 @@ int runServe(int argc, char** argv) {
       std::fprintf(stderr, "unknown serve option '%s'\n", arg.c_str());
       return 1;
     }
-  }
-  if (sessions < 1) {
-    std::fprintf(stderr, "--sessions must be at least 1\n");
-    return 1;
-  }
-  if (cfg.threads < 1 || cfg.sessionCap < 1 || cfg.sliceEvents < 1) {
-    std::fprintf(stderr,
-                 "--threads, --session-cap and --slice-events must be >= 1\n");
-    return 1;
   }
 
   std::vector<must::SessionSpec> specs;
@@ -449,16 +496,12 @@ int runServe(int argc, char** argv) {
   return server.deadlocks() > 0 ? 2 : 0;
 }
 
-/// A virtual-millisecond flag value in ns. Negative, NaN (the comparison is
-/// false for it) or huge values are usage errors: their cast is undefined.
+/// A virtual-millisecond flag value in ns. Negative, NaN or huge values are
+/// usage errors: their cast is undefined.
 sim::Duration durationMs(const std::string& flag, const char* text) {
-  const double ns = std::atof(text) * 1e6;
-  if (!(ns >= 0 && ns <= static_cast<double>(sim::kMaxInputDuration))) {
-    std::fprintf(stderr, "%s must be between 0 and %.0f (virtual ms)\n",
-                 flag.c_str(), sim::kMaxInputDuration / 1e6);
-    std::exit(1);
-  }
-  return static_cast<sim::Duration>(ns);
+  const double ms =
+      parseNumber(flag, text, 0.0, sim::kMaxInputDuration / 1e6);
+  return static_cast<sim::Duration>(ms * 1e6);
 }
 
 std::optional<mpi::Runtime::Program> makeWorkload(const Options& opt) {
@@ -622,8 +665,7 @@ int runWorkload(const Options& opt) {
   std::optional<support::Tracer> tracer;
   if (!opt.traceOut.empty()) {
     support::Tracer::Config traceCfg;
-    traceCfg.capacityPerTrack = static_cast<std::size_t>(
-        std::max<std::int32_t>(opt.traceDepth, 16));
+    traceCfg.capacityPerTrack = static_cast<std::size_t>(opt.traceDepth);
     traceCfg.clock = [&engine] {
       return static_cast<std::uint64_t>(engine.now());
     };
@@ -968,17 +1010,17 @@ int main(int argc, char** argv) {
     if (arg == "--workload") {
       opt.workload = value();
     } else if (arg == "--procs") {
-      opt.procs = std::atoi(value());
+      opt.procs = parseNumber<std::int32_t>(arg, value(), 2);
     } else if (arg == "--fanin") {
-      opt.fanIn = std::atoi(value());
+      opt.fanIn = parseNumber(arg, value(), std::numeric_limits<std::int32_t>::min());
     } else if (arg == "--iterations") {
-      opt.iterations = std::atoi(value());
+      opt.iterations = parseNumber<std::int32_t>(arg, value(), 1);
     } else if (arg == "--distance") {
-      opt.distance = std::atoi(value());
+      opt.distance = parseNumber(arg, value(), std::numeric_limits<std::int32_t>::min());
     } else if (arg == "--active") {
-      opt.active = std::atoi(value());
+      opt.active = parseNumber<std::int32_t>(arg, value(), 0);
     } else if (arg == "--threads") {
-      opt.threads = std::atoi(value());
+      opt.threads = parseNumber<std::int32_t>(arg, value(), 0);
     } else if (arg == "--engine-stats") {
       opt.engineStats = true;
     } else if (arg == "--periodic-ms") {
@@ -1006,7 +1048,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-out") {
       opt.traceOut = value();
     } else if (arg == "--trace-depth") {
-      opt.traceDepth = std::atoi(value());
+      opt.traceDepth = parseNumber<std::int32_t>(arg, value(), 16);
     } else if (arg == "--telemetry") {
       opt.telemetry = true;
     } else if (arg == "--status-out") {
@@ -1018,7 +1060,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeline-out") {
       opt.timelineOut = value();
     } else if (arg == "--mute-node") {
-      opt.muteNode = std::atoi(value());
+      opt.muteNode = parseNumber<std::int32_t>(arg, value(), -1);
     } else if (arg == "--batch") {
       opt.batch = true;
     } else if (arg == "--centralized") {
@@ -1041,16 +1083,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (opt.procs < 2) {
-    std::fprintf(stderr, "--procs must be at least 2\n");
-    return 1;
-  }
   if (!opt.centralized && opt.fanIn < 2) {
     std::fprintf(stderr, "--fanin must be at least 2\n");
-    return 1;
-  }
-  if (opt.threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
     return 1;
   }
   return runWorkload(opt);

@@ -57,7 +57,7 @@ void BM_WfgOutputCompressed(benchmark::State& state) {
   const auto procs = static_cast<std::int32_t>(state.range(0));
   // Build the same graph via the formal system (cheaper than a full tool
   // run and identical structure).
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, bench::sierraLike(), procs);
   must::Recorder recorder(runtime);
   runtime.runToCompletion(workloads::wildcardDeadlock());

@@ -48,7 +48,7 @@ RoundsOutcome runRounds(std::int32_t procs, bool incremental) {
   cfg.periodicDetection = 500 * sim::kMicrosecond;
   cfg.verifyIncremental = std::getenv("WST_VERIFY_INCREMENTAL") != nullptr;
 
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, bench::sierraLike(), procs);
   must::DistributedTool tool(engine, runtime, cfg);
   runtime.runToCompletion(workloads::cyclicExchange(params));

@@ -15,7 +15,7 @@
 #include <cstdint>
 
 #include "bench/common.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "workloads/stress.hpp"
 
 namespace {
@@ -42,7 +42,7 @@ void BM_StressTelemetry(benchmark::State& state) {
   const auto program = workloads::cyclicExchange(stressParams());
   std::uint64_t events = 0;
   for (auto _ : state) {
-    sim::Engine engine;
+    sim::ParallelEngine engine;
     must::ToolConfig toolCfg = bench::distributedTool(4);
     toolCfg.periodicDetection = 2'000'000;
     if (mode != Mode::kOff) toolCfg.telemetry = true;

@@ -14,7 +14,7 @@
 #include <optional>
 
 #include "bench/common.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "support/tracing.hpp"
 #include "workloads/stress.hpp"
 
@@ -38,7 +38,7 @@ void BM_StressUnderTool(benchmark::State& state) {
   const auto program = workloads::cyclicExchange(stressParams());
   std::uint64_t events = 0;
   for (auto _ : state) {
-    sim::Engine engine;
+    sim::ParallelEngine engine;
     std::optional<support::Tracer> tracer;
     if (mode != Mode::kNoTracer) {
       support::Tracer::Config cfg;

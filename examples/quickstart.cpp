@@ -24,7 +24,7 @@ sim::Task program(mpi::Proc& self) {
 
 int main() {
   // 1. Discrete-event engine + simulated 2-rank MPI world.
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpi::RuntimeConfig{}, /*procCount=*/2);
 
   // 2. Attach the deadlock detection tool (TBON with fan-in 2; with 2 ranks

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "must/recorder.hpp"
+#include "sim/parallel_engine.hpp"
 #include "waitstate/transition_system.hpp"
 #include "workloads/stress.hpp"
 
@@ -19,7 +20,7 @@ int main() {
   mpi::RuntimeConfig mpiCfg;
   mpiCfg.collectiveSync = mpi::CollectiveSync::kRooted;
 
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiCfg, 3);
   must::Recorder recorder(runtime);
   runtime.runToCompletion(workloads::figure4());

@@ -17,8 +17,8 @@ namespace wst::fuzz {
 struct FuzzConfig {
   std::uint64_t seed = 1;
   std::int32_t runs = 100;
-  /// Distributed-run engine threads (0 = serial).
-  std::int32_t threads = 0;
+  /// Distributed-run engine threads (>= 1).
+  std::int32_t threads = 1;
   /// Wait-state batching for the distributed runs.
   bool batch = false;
   /// Run the hierarchical in-tree check (with the in-tool differential

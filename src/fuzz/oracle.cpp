@@ -11,7 +11,6 @@
 #include "mpi/runtime.hpp"
 #include "must/recorder.hpp"
 #include "must/tool.hpp"
-#include "sim/engine.hpp"
 #include "sim/parallel_engine.hpp"
 #include "support/strings.hpp"
 #include "waitstate/transition_system.hpp"
@@ -143,7 +142,7 @@ std::string Outcome::summary() const {
 
 Outcome runFormalOracle(const Scenario& scenario) {
   const auto sc = std::make_shared<const Scenario>(scenario);
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiConfigFor(scenario), scenario.procs);
   must::Recorder recorder(runtime);
   runtime.runToCompletion(scenarioProgram(sc));
@@ -167,18 +166,8 @@ Outcome runFormalOracle(const Scenario& scenario) {
 Outcome runDistributedOracle(const Scenario& scenario,
                              const RunOptions& options) {
   const auto sc = std::make_shared<const Scenario>(scenario);
-  std::unique_ptr<sim::Engine> serial;
-  std::unique_ptr<sim::ParallelEngine> par;
-  sim::Scheduler* engine = nullptr;
-  if (options.threads <= 0) {
-    serial = std::make_unique<sim::Engine>();
-    engine = serial.get();
-  } else {
-    par = std::make_unique<sim::ParallelEngine>(options.threads);
-    engine = par.get();
-  }
-
-  mpi::Runtime runtime(*engine, mpiConfigFor(scenario), scenario.procs);
+  sim::ParallelEngine engine(options.threads);
+  mpi::Runtime runtime(engine, mpiConfigFor(scenario), scenario.procs);
 
   // Built before the tool and kept alive past it: the tool reads the
   // certificate both at construction and while handling sampled events.
@@ -235,7 +224,7 @@ Outcome runDistributedOracle(const Scenario& scenario,
     }
   }
 
-  must::DistributedTool tool(*engine, runtime, cfg);
+  must::DistributedTool tool(engine, runtime, cfg);
   runtime.runToCompletion(scenarioProgram(sc));
 
   Outcome out;
@@ -253,9 +242,10 @@ Outcome runDistributedOracle(const Scenario& scenario,
   }
   graph.pruneCollectiveCoWaiters();
   fillFromGraph(out, graph);
-  out.traceHash = engine->traceHash();
+  out.traceHash = engine.traceHash();
   out.faultStats = tool.overlay().faultStats();
   out.hierDivergences = tool.hierarchicalDivergences();
+  out.reported = tool.reportedDeadlocked();
   return out;
 }
 
@@ -273,6 +263,17 @@ std::string compareOutcomes(const Outcome& formal,
   if (formal.blocked != distributed.blocked) return "blocked sets differ";
   if (formal.finished != distributed.finished) return "finished sets differ";
   if (formal.wfg != distributed.wfg) return "canonical wait-for graphs differ";
+  // A deadlock is stable: a round may report only processes that are still
+  // deadlocked when the run ends.
+  for (const trace::ProcId p : distributed.reported) {
+    if (!std::binary_search(formal.deadlocked.begin(), formal.deadlocked.end(),
+                            p)) {
+      return support::format(
+          "a detection round reported process %d deadlocked, but it is not "
+          "deadlocked at the terminal state",
+          p);
+    }
+  }
   if (distributed.hierDivergences > 0) {
     return support::format("hierarchical check diverged in %u round(s)",
                            distributed.hierDivergences);

@@ -23,8 +23,8 @@ namespace wst::fuzz {
 struct RunOptions {
   /// Apply the scenario's fault plan (drop/dup/delay/jitter) to the overlay.
   bool faults = true;
-  /// 0 = serial engine; otherwise ParallelEngine with this many threads.
-  std::int32_t threads = 0;
+  /// Engine threads (>= 1); the outcome is the same for every count.
+  std::int32_t threads = 1;
   /// Enable wait-state message batching.
   bool batch = false;
   /// Run the hierarchical (condensed) check next to the raw root check in
@@ -44,6 +44,9 @@ struct RunOptions {
 struct Outcome {
   bool deadlock = false;
   std::vector<trace::ProcId> deadlocked;
+  /// Distributed side only: every process any detection round reported
+  /// deadlocked, sorted — including rounds before the terminal state.
+  std::vector<trace::ProcId> reported;
   std::vector<trace::LocalTs> state;
   std::vector<bool> blocked;
   std::vector<bool> finished;

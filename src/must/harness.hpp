@@ -54,7 +54,7 @@ struct HarnessResult {
 inline HarnessResult runReference(std::int32_t procs,
                                   const mpi::RuntimeConfig& mpiConfig,
                                   const mpi::Runtime::Program& program) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiConfig, procs);
   runtime.runToCompletion(program);
   HarnessResult result;
@@ -65,10 +65,15 @@ inline HarnessResult runReference(std::int32_t procs,
   return result;
 }
 
-/// Collect the tooled-run outcome shared by every engine variant.
-inline HarnessResult collectToolResult(sim::Scheduler& engine,
-                                       mpi::Runtime& runtime,
-                                       DistributedTool& tool) {
+/// Run with the distributed (or, with fanIn >= procs, centralized) tool.
+inline HarnessResult runWithTool(std::int32_t procs,
+                                 const mpi::RuntimeConfig& mpiConfig,
+                                 const ToolConfig& toolConfig,
+                                 const mpi::Runtime::Program& program) {
+  sim::ParallelEngine engine;
+  mpi::Runtime runtime(engine, mpiConfig, procs);
+  DistributedTool tool(engine, runtime, toolConfig);
+  runtime.runToCompletion(program);
   HarnessResult result;
   result.allFinalized = runtime.allFinalized();
   result.completionTime = engine.now();
@@ -90,36 +95,6 @@ inline HarnessResult collectToolResult(sim::Scheduler& engine,
   result.eventsExecuted = engine.eventsExecuted();
   result.metricsJson = tool.metricsJson();
   return result;
-}
-
-/// Run with the distributed (or, with fanIn >= procs, centralized) tool.
-inline HarnessResult runWithTool(std::int32_t procs,
-                                 const mpi::RuntimeConfig& mpiConfig,
-                                 const ToolConfig& toolConfig,
-                                 const mpi::Runtime::Program& program) {
-  sim::Engine engine;
-  mpi::Runtime runtime(engine, mpiConfig, procs);
-  DistributedTool tool(engine, runtime, toolConfig);
-  runtime.runToCompletion(program);
-  return collectToolResult(engine, runtime, tool);
-}
-
-/// Run with the tool on the parallel conservative engine. `threads == 1`
-/// executes everything inline on the calling thread; the outcome (verdicts,
-/// metrics JSON, trace hash) is byte-identical for any thread count.
-inline HarnessResult runWithToolThreaded(std::int32_t threads,
-                                         std::int32_t procs,
-                                         const mpi::RuntimeConfig& mpiConfig,
-                                         const ToolConfig& toolConfig,
-                                         const mpi::Runtime::Program& program) {
-  sim::ParallelEngine engine(threads);
-  mpi::Runtime runtime(engine, mpiConfig, procs);
-  DistributedTool tool(engine, runtime, toolConfig);
-  runtime.runToCompletion(program);
-  // Deterministic engine gauges only: per-worker splits depend on the racy
-  // LP-to-worker assignment and would break cross-thread-count comparison.
-  engine.publishMetrics(tool.metrics(), /*includePerWorker=*/false);
-  return collectToolResult(engine, runtime, tool);
 }
 
 }  // namespace wst::must

@@ -3,14 +3,14 @@
 #include "analysis/classifier.hpp"
 #include "analysis/trace_program.hpp"
 #include "must/recorder.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace wst::must {
 
 analysis::Certificate certifyWorkload(std::int32_t procs,
                                       const mpi::RuntimeConfig& mpiConfig,
                                       const mpi::Runtime::Program& program) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiConfig, procs);
   Recorder recorder(runtime);
   runtime.runToCompletion(program);

@@ -17,7 +17,7 @@ namespace {
 /// Terminal observation shared by the solo and served paths: everything here
 /// reads session-local state only, so it is byte-identical regardless of
 /// how the engine was driven to completion.
-void collectTerminal(SessionResult& result, sim::Engine& engine,
+void collectTerminal(SessionResult& result, sim::ParallelEngine& engine,
                      mpi::Runtime& runtime, DistributedTool& tool) {
   result.completed = true;
   result.deadlock = tool.deadlockFound();
@@ -57,7 +57,7 @@ struct ServeServer::Session {
   }
 
   SessionSpec spec;
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime;
   DistributedTool tool;
   SessionResult result;
@@ -69,7 +69,7 @@ ServeServer::ServeServer(Config config) : config_(config) {}
 ServeServer::~ServeServer() = default;
 
 SessionResult runSessionSolo(const SessionSpec& spec) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, spec.mpiConfig, spec.procs);
   DistributedTool tool(engine, runtime, spec.tool);
   runtime.runToCompletion(spec.program);
@@ -129,16 +129,14 @@ void ServeServer::run() {
     // One scheduling round: every live session advances by one slice, on
     // whichever worker claims it first. Session state is handed between
     // threads only through the pool's round barrier.
-    const std::uint64_t slice = config_.sliceEvents;
     pool.forEach(active_.size(), [&](std::size_t i) {
       Session& s = *active_[i];
       if (!s.started) {
         s.started = true;
         s.runtime.start(s.spec.program);
       }
-      const std::uint64_t ran = s.engine.runSlice(slice);
       ++s.result.rounds;
-      if (ran < slice) s.done = true;
+      s.done = s.engine.runSlice(s.result.rounds * config_.sliceEvents);
     });
     ++roundsRun_;
 

@@ -1,9 +1,10 @@
 // Multi-session serving (DESIGN.md §17): `wst serve` runs N independent
 // scenarios as co-scheduled sessions over a shared thread pool. Each session
-// owns a full serial stack — engine, MPI runtime, distributed tool — so it
-// has its own virtual clock and isolated metrics/trace/status namespace;
-// the server interleaves them in fixed-size event slices (sim::Engine::
-// runSlice) with a round barrier between slices. Admission, eviction and
+// owns a full stack — a one-thread engine, MPI runtime, distributed tool —
+// so it has its own virtual clock and isolated metrics/trace/status
+// namespace; the server interleaves them in event slices
+// (sim::ParallelEngine::runSlice, which stops only between two engine
+// rounds) with a round barrier between slices. Admission, eviction and
 // result collection happen only between rounds, when no worker holds a
 // session, so session lifecycle never races session execution.
 //
@@ -21,7 +22,7 @@
 
 #include "mpi/runtime.hpp"
 #include "must/tool.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace wst::must {
 
@@ -62,7 +63,9 @@ class ServeServer {
     /// Maximum concurrently admitted sessions; further submissions queue
     /// and are admitted as slots free up, in submission order.
     std::int32_t sessionCap = 8;
-    /// Events per session per scheduling round.
+    /// Events per session per scheduling round. A slice ends at the first
+    /// engine round boundary at or past the session's quota (rounds served
+    /// x sliceEvents), so a slice may run a few events more or fewer.
     std::uint64_t sliceEvents = 4096;
   };
 

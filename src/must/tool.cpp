@@ -1700,6 +1700,9 @@ void DistributedTool::finishDetection() {
     }
   }
 
+  noteReported(round.check.deadlocked);
+  if (hier) noteReported(hier->deadlocked);
+
   RoundStats stats;
   stats.epoch = epoch_;
   stats.changed = gatheredProcs_;
@@ -1821,6 +1824,7 @@ void DistributedTool::completeHierarchicalRound(
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
   const wfg::HierarchicalResult& hier = *pendingHier_;
+  noteReported(hier.deadlocked);
   wfg::CheckResult check;
   check.deadlock = hier.deadlock;
   check.deadlocked = hier.deadlocked;
@@ -1875,6 +1879,15 @@ void DistributedTool::completeHierarchicalRound(
     rootTrack_->spanEnd("detection", "detect", "boundary",
                         static_cast<std::int64_t>(stats.boundaryNodes));
   }
+}
+
+void DistributedTool::noteReported(
+    const std::vector<trace::ProcId>& deadlocked) {
+  std::vector<trace::ProcId> merged;
+  std::set_union(reportedDeadlocked_.begin(), reportedDeadlocked_.end(),
+                 deadlocked.begin(), deadlocked.end(),
+                 std::back_inserter(merged));
+  reportedDeadlocked_ = std::move(merged);
 }
 
 void DistributedTool::attachTraceToReport() {

@@ -237,6 +237,12 @@ class DistributedTool : public mpi::Interposer {
   /// Deadlock report of the last completed detection (if any ran).
   const std::optional<wfg::Report>& report() const { return report_; }
   bool deadlockFound() const { return report_ && report_->deadlock; }
+  /// Every process that any detection round's check (raw or hierarchical)
+  /// reported deadlocked, sorted. A deadlock is stable, so each of them
+  /// must still be deadlocked when the run ends.
+  const std::vector<trace::ProcId>& reportedDeadlocked() const {
+    return reportedDeadlocked_;
+  }
   std::uint32_t detectionsRun() const { return detectionsCompleted_; }
 
   /// Collective matching errors found at the root (kind/root mismatches).
@@ -425,6 +431,8 @@ class DistributedTool : public mpi::Interposer {
   /// holds the deadlocked processes' reconstructed conditions (empty graph
   /// when no deadlock was found).
   void completeHierarchicalRound(wfg::WaitForGraph&& detailGraph);
+  /// Merge one check's deadlocked set (sorted) into reportedDeadlocked_.
+  void noteReported(const std::vector<trace::ProcId>& deadlocked);
   void runUnexpectedMatchCheck();
   void onQuiescence();
   void onPeriodic();
@@ -565,6 +573,7 @@ class DistributedTool : public mpi::Interposer {
   sim::Time syncEnd_ = 0;
   sim::Time gatherEnd_ = 0;
   std::optional<wfg::Report> report_;
+  std::vector<trace::ProcId> reportedDeadlocked_;
 
   // Incremental detection state (root).
   std::optional<wfg::IncrementalWfg> incremental_;

@@ -152,7 +152,7 @@ class Channel {
     ++sent_;
     bytesSent_ += bytes;
     // M is moved into the scheduled closure; delivery happens at `arrival`
-    // on the consumer's LP (on the serial engine scheduleOn == scheduleAt).
+    // on the consumer's LP.
     engine_.scheduleOn(consumerLp_, arrival, [this, m = std::move(msg)]() mutable {
       deliver_(std::move(m));
     });

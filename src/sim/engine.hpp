@@ -1,20 +1,13 @@
-// Discrete-event simulation scheduling.
+// Discrete-event simulation scheduling interface.
 //
-// Two engines implement one scheduling interface:
-//
-//  * Engine (this file): the single-threaded engine. One priority heap of
-//    (time, sequence, action) events and one virtual clock; ties in time are
-//    broken by insertion sequence number, so a run is fully deterministic.
-//  * ParallelEngine (sim/parallel_engine.hpp): a conservative parallel
-//    engine that shards the event queue into logical processes (LPs),
-//    pins the LPs to per-worker shards (shared-nothing ownership, SPSC
-//    cross-shard mail rings), and executes shards concurrently below a
-//    lookahead-based safe horizon.
-//
-// Components schedule against the Scheduler interface so the same MPI
-// runtime, channels, and tool run unchanged on either engine. The LP-aware
-// calls (scheduleOn, createLp, noteCrossLpLatency) degrade to no-ops on the
-// serial engine: everything lives on the single main LP.
+// One engine implements it: the conservative ParallelEngine
+// (sim/parallel_engine.hpp), which shards the event queue into logical
+// processes (LPs), pins the LPs to per-worker shards, and executes shards
+// concurrently below a lookahead-based safe horizon. With one thread it runs
+// everything inline on the caller, and the schedule is identical for every
+// thread count. Components schedule against this interface so the MPI
+// runtime, channels, and tool never depend on the engine's internals, and
+// so decorators (the benchmark's timing wrapper) can sit in between.
 //
 // Quiescence hooks model the paper's detection timeout: in the real tool the
 // TBON root starts graph-based deadlock detection when no events arrive for a
@@ -26,8 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -38,7 +29,8 @@ class TraceTrack;
 namespace wst::sim {
 
 /// Identifier of a logical process (an independently schedulable event
-/// queue). The serial engine has exactly one, kMainLp.
+/// queue). Every engine has the main LP, kMainLp, which hosts the
+/// application world.
 using LpId = std::int32_t;
 inline constexpr LpId kMainLp = 0;
 
@@ -56,91 +48,9 @@ inline std::uint64_t fnvMix(std::uint64_t hash, std::uint64_t value) {
   return hash;
 }
 
-struct Event {
-  Time when = 0;
-  std::uint64_t seq = 0;
-  std::function<void()> action;
-  /// Cadence (telemetry) events execute normally while live events exist
-  /// but never keep the engine alive: quiescence and termination are
-  /// decided as if they were not queued. See Scheduler::scheduleCadenceOn.
-  bool cadence = false;
-};
-
-/// Binary min-heap on (when, seq) whose pop() *moves* the event out —
-/// std::priority_queue::top() is const&, which forced a std::function copy
-/// (and its closure allocation) per executed event on the hottest path.
-class EventHeap {
- public:
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  /// Events that count toward quiescence (everything but cadence events).
-  std::size_t liveSize() const { return live_; }
-  const Event& top() const { return heap_.front(); }
-
-  void push(Time when, std::uint64_t seq, std::function<void()> action,
-            bool cadence = false) {
-    heap_.push_back(Event{when, seq, std::move(action), cadence});
-    if (!cadence) ++live_;
-    siftUp(heap_.size() - 1);
-  }
-
-  /// Remove and return the earliest event (smallest (when, seq)).
-  Event pop() {
-    Event out = std::move(heap_.front());
-    Event last = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) siftDown(std::move(last));
-    if (!out.cadence) --live_;
-    return out;
-  }
-
-  /// Drop every queued event (end-of-run cadence cleanup).
-  void clear() {
-    heap_.clear();
-    live_ = 0;
-  }
-
- private:
-  static bool earlier(const Event& a, const Event& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-  static bool earlier(const Event& a, Time when, std::uint64_t seq) {
-    if (a.when != when) return a.when < when;
-    return a.seq < seq;
-  }
-
-  void siftUp(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!earlier(heap_[i], heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-    }
-  }
-
-  /// Place `hole` (the former last element) starting from the root.
-  void siftDown(Event hole) {
-    std::size_t i = 0;
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-      if (!earlier(heap_[child], hole.when, hole.seq)) break;
-      heap_[i] = std::move(heap_[child]);
-      i = child;
-    }
-    heap_[i] = std::move(hole);
-  }
-
-  std::vector<Event> heap_;
-  std::size_t live_ = 0;
-};
-
 }  // namespace detail
 
-/// Scheduling interface shared by the serial Engine and the ParallelEngine.
+/// Scheduling interface of the engine (and of decorators around it).
 class Scheduler {
  public:
   using Action = std::function<void()>;
@@ -162,8 +72,7 @@ class Scheduler {
 
   /// Schedule `action` at an absolute time on a specific LP. When the
   /// target is not the executing LP, `when` must be at least the sender's
-  /// lookahead into the future (see ParallelEngine); the serial engine
-  /// ignores the LP and behaves like scheduleAt.
+  /// lookahead into the future (see ParallelEngine).
   virtual void scheduleOn(LpId lp, Time when, Action action) = 0;
 
   /// Schedule a **cadence** event: it executes exactly like a normal event
@@ -176,17 +85,15 @@ class Scheduler {
   /// per-LP); from setup context any LP is accepted.
   virtual void scheduleCadenceOn(LpId lp, Time when, Action action) = 0;
 
-  /// Run `fn(now)` at the next deterministic cut: the serial engine runs it
-  /// right after the current event; the parallel engine runs it on the
-  /// coordinating thread after the current execute round completes (every
-  /// event below the round's horizon executed — a state that is
-  /// byte-identical across worker counts) or at quiescence. Callbacks run
-  /// in (requesting LP, request order) order, may read any LP-owned or
-  /// registry state, and must not schedule events or request further cuts.
+  /// Run `fn(now)` at the next deterministic cut: on the coordinating
+  /// thread after the current execute round completes (every event below
+  /// the round's horizon executed — a state that is byte-identical across
+  /// worker counts) or at quiescence. Callbacks run in (requesting LP,
+  /// request order) order, may read any LP-owned or registry state, and
+  /// must not schedule events or request further cuts.
   virtual void atNextCut(std::function<void(Time)> fn) = 0;
 
-  /// Create a new logical process. The serial engine returns kMainLp: all
-  /// "LPs" share the one queue. Call before run().
+  /// Create a new logical process. Call before run().
   virtual LpId createLp() = 0;
 
   /// LP of the currently executing event (kMainLp outside of events).
@@ -195,15 +102,15 @@ class Scheduler {
 
   /// Declare a cross-LP channel latency. The minimum over all declarations
   /// is the conservative lookahead: cross-LP events must be scheduled at
-  /// least this far into the sender's future. No-op on the serial engine.
+  /// least this far into the sender's future.
   virtual void noteCrossLpLatency(Duration latency) = 0;
 
-  /// True when events may execute concurrently (ParallelEngine). Components
-  /// with cross-LP shared state use this to reject unsupported modes.
+  /// True when events on different LPs may execute concurrently. The one
+  /// engine always says so; decorators forward it.
   virtual bool parallel() const = 0;
 
   /// Register a hook invoked whenever the event queue drains. Hooks run in
-  /// registration order (serially, in the parallel engine too); if any hook
+  /// registration order, serially on the coordinating thread; if any hook
   /// schedules new events the run continues. Returns an id usable with
   /// removeQuiescenceHook.
   virtual std::size_t addQuiescenceHook(Action hook) = 0;
@@ -232,61 +139,6 @@ class Scheduler {
 
  protected:
   support::TraceTrack* traceTrack_ = nullptr;
-};
-
-/// The single-threaded engine.
-class Engine final : public Scheduler {
- public:
-  Engine() = default;
-
-  Time now() const override { return now_; }
-  void schedule(Duration delay, Action action) override;
-  void scheduleAt(Time when, Action action) override;
-  void scheduleOn(LpId lp, Time when, Action action) override;
-  void scheduleCadenceOn(LpId lp, Time when, Action action) override;
-  void atNextCut(std::function<void(Time)> fn) override;
-  LpId createLp() override { return kMainLp; }
-  LpId currentLp() const override { return kMainLp; }
-  std::int32_t lpCount() const override { return 1; }
-  void noteCrossLpLatency(Duration) override {}
-  bool parallel() const override { return false; }
-
-  std::size_t addQuiescenceHook(Action hook) override;
-  void removeQuiescenceHook(std::size_t id) override;
-
-  void run() override;
-
-  /// Run at most `maxEvents` events (for incremental/step debugging).
-  /// Returns the number of events actually executed.
-  std::uint64_t runSome(std::uint64_t maxEvents);
-
-  /// Cooperative slice of run(): execute up to `maxEvents` events including
-  /// full quiescence handling, then yield. Returns the number of events
-  /// executed; a return value < maxEvents means the run is COMPLETE (the
-  /// quiescence hooks declined to continue, cuts drained, leftover cadence
-  /// timers discarded) — exactly the terminal state run() leaves behind.
-  /// Returning == maxEvents means more work remains: call again.
-  std::uint64_t runSlice(std::uint64_t maxEvents);
-
-  /// "No events pending" means no *live* events: leftover cadence timers
-  /// never hold the engine open.
-  bool empty() const override { return queue_.liveSize() == 0; }
-  std::uint64_t eventsExecuted() const override { return executed_; }
-  std::uint64_t traceHash() const override { return traceHash_; }
-
- private:
-  bool step();
-  bool runQuiescenceHooks();
-  void drainCuts();
-
-  Time now_ = 0;
-  std::uint64_t nextSeq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::uint64_t traceHash_ = detail::kFnvOffset;
-  detail::EventHeap queue_;
-  std::vector<std::pair<std::size_t, Action>> quiescenceHooks_;
-  std::size_t nextHookId_ = 0;
-  std::vector<std::function<void(Time)>> cuts_;
 };
 
 }  // namespace wst::sim

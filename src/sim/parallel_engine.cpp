@@ -5,11 +5,6 @@
 #include <string>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 #include "support/tracing.hpp"
@@ -20,30 +15,13 @@ namespace {
 
 constexpr Time kNever = std::numeric_limits<Time>::max();
 
-/// Best-effort affinity: pin the calling thread to `core`. Failure (cpuset
-/// restrictions, exotic kernels) is silently ignored — pinning is an
-/// optimization, never a correctness requirement.
-void pinSelfToCore(std::int32_t core) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<std::size_t>(core) % CPU_SETSIZE, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)core;
-#endif
-}
-
 }  // namespace
 
 thread_local ParallelEngine* ParallelEngine::tlsEngine_ = nullptr;
 thread_local ParallelEngine::Lp* ParallelEngine::tlsLp_ = nullptr;
 
-ParallelEngine::ParallelEngine(std::int32_t threads, Duration minLookahead,
-                               bool pinThreads)
-    : threads_(std::max(threads, 1)),
-      pinThreads_(pinThreads),
-      lookahead_(minLookahead) {
+ParallelEngine::ParallelEngine(std::int32_t threads)
+    : threads_(std::max(threads, 1)) {
   lps_.emplace_back();  // the main LP (application world)
   lps_.back().id = kMainLp;
 }
@@ -90,20 +68,25 @@ void ParallelEngine::enqueueLocal(Lp& lp, Time when, Action action,
 }
 
 void ParallelEngine::pushMail(std::int32_t srcShard, Mail mail) {
-  ring(srcShard, lps_[static_cast<std::size_t>(mail.dstLp)].shard)
-      .push(std::move(mail));
+  const std::int32_t dst = lps_[static_cast<std::size_t>(mail.dstLp)].shard;
+  if (dst == threadShard(srcShard)) {
+    shards_[static_cast<std::size_t>(dst)].localMail.push_back(std::move(mail));
+  } else {
+    ring(srcShard, dst)->push(std::move(mail));
+  }
 }
 
 void ParallelEngine::pushExternal(Mail mail) {
   if (running_) {
-    // Quiescence hooks run on the coordinating thread while workers are
-    // parked at the barrier; the external ring row is SPSC with the
-    // coordinator as its only producer.
+    // Quiescence hooks (and callers between slices) run on the coordinating
+    // thread while workers are parked at the barrier; the external ring row
+    // is SPSC with the coordinator as its only producer.
     pushMail(shardCount_, std::move(mail));
   } else {
     // Setup (possibly before the layout exists): stage; ensureShards()
-    // flushes into the rings at the top of the next run().
+    // flushes into the rings when the next run starts.
     externalStaged_.push_back(std::move(mail));
+    complete_ = false;
   }
 }
 
@@ -214,7 +197,8 @@ void ParallelEngine::ensureShards() {
                "LP set changed after worker threads started; create all LPs "
                "before the first run()");
     for (const auto& r : rings_) {
-      WST_ASSERT(r->empty(), "shard layout rebuild with mail in flight");
+      WST_ASSERT(r == nullptr || r->empty(),
+                 "shard layout rebuild with mail in flight");
     }
     shardCount_ = want;
     layoutLps_ = lpTotal;
@@ -238,8 +222,12 @@ void ParallelEngine::ensureShards() {
     rings_.clear();
     rings_.reserve(static_cast<std::size_t>(shardCount_ + 1) *
                    static_cast<std::size_t>(shardCount_));
-    for (std::int32_t i = 0; i < (shardCount_ + 1) * shardCount_; ++i) {
-      rings_.push_back(std::make_unique<detail::SpscRing<Mail>>());
+    for (std::int32_t src = 0; src <= shardCount_; ++src) {
+      for (std::int32_t dst = 0; dst < shardCount_; ++dst) {
+        rings_.push_back(threadShard(src) == dst
+                             ? nullptr
+                             : std::make_unique<detail::SpscRing<Mail>>());
+      }
     }
     barrier_ = std::make_unique<detail::SpinBarrier>(shardCount_);
   }
@@ -250,16 +238,10 @@ void ParallelEngine::ensureShards() {
 
 void ParallelEngine::startWorkers() {
   if (!workers_.empty() || shardCount_ <= 1) return;
-  const bool pin =
-      pinThreads_ && std::thread::hardware_concurrency() >=
-                         static_cast<unsigned>(shardCount_);
-  if (pin) pinSelfToCore(0);
   workers_.reserve(static_cast<std::size_t>(shardCount_) - 1);
   for (std::int32_t s = 1; s < shardCount_; ++s) {
-    workers_.emplace_back([this, s, pin] {
-      if (pin) pinSelfToCore(s);
-      workerMain(static_cast<std::size_t>(s));
-    });
+    workers_.emplace_back(
+        [this, s] { workerMain(static_cast<std::size_t>(s)); });
   }
 }
 
@@ -300,10 +282,14 @@ void ParallelEngine::runPhase(Phase phase) {
 
 void ParallelEngine::drainShard(std::size_t shard) {
   Shard& sh = shards_[shard];
+  // Take this shard's own mail (the swap keeps both buffers' capacity),
+  // then append what the other shards and the coordinator sent.
   std::vector<Mail>& mail = sh.scratch;
-  mail.clear();
+  mail.swap(sh.localMail);
   for (std::int32_t src = 0; src <= shardCount_; ++src) {
-    ring(src, static_cast<std::int32_t>(shard)).drainInto(mail);
+    if (auto* r = ring(src, static_cast<std::int32_t>(shard))) {
+      r->drainInto(mail);
+    }
   }
   if (!mail.empty()) {
     sh.crossLpEvents += mail.size();
@@ -392,16 +378,17 @@ bool ParallelEngine::anyPending() const {
   if (shardCount_ == 0) return false;  // pre-layout: nothing but staged mail
   for (const Shard& sh : shards_) {
     if (sh.queuedEvents.load(std::memory_order_relaxed) != 0) return true;
+    if (!sh.localMail.empty()) return true;
   }
   for (const auto& r : rings_) {
-    if (!r->empty()) return true;
+    if (r != nullptr && !r->empty()) return true;
   }
   return false;
 }
 
 bool ParallelEngine::runQuiescenceHooks() {
-  // Same copy semantics as the serial engine: hooks may add/remove hooks
-  // while running; a hook removed by an earlier hook still runs this round.
+  // Copy semantics: hooks may add/remove hooks while running; a hook
+  // removed by an earlier hook still runs this round.
   const auto hooks = quiescenceHooks_;
   for (const auto& [id, hook] : hooks) {
     hook();
@@ -412,10 +399,22 @@ bool ParallelEngine::runQuiescenceHooks() {
 
 void ParallelEngine::run() {
   WST_ASSERT(!running_, "run() is not reentrant");
-  running_ = true;
-  ensureShards();
-  startWorkers();
+  runSlice(std::numeric_limits<std::uint64_t>::max());
+}
+
+bool ParallelEngine::runSlice(std::uint64_t untilEvents) {
+  if (!running_) {
+    if (complete_) return true;
+    running_ = true;
+    ensureShards();
+    startWorkers();
+  }
   for (;;) {
+    if (eventsExecuted() >= untilEvents) {
+      // Paused between two rounds: now() reports the latest executed event.
+      for (const Lp& lp : lps_) globalNow_ = std::max(globalNow_, lp.now);
+      return false;
+    }
     runPhase(Phase::kDrain);
     Time tmin = kNever;
     std::uint64_t live = 0;
@@ -435,8 +434,17 @@ void ParallelEngine::run() {
                              static_cast<std::int64_t>(eventsExecuted()));
       }
       if (cutsPending_.load(std::memory_order_acquire)) drainCuts();
-      if (!runQuiescenceHooks()) break;
-      continue;
+      if (runQuiescenceHooks()) continue;
+      // Complete. Leftover events are cadence-only: telemetry timers past
+      // the end of the run. Discard without executing.
+      for (Lp& lp : lps_) lp.queue.clear();
+      for (Shard& sh : shards_) {
+        sh.queuedEvents.store(0, std::memory_order_relaxed);
+      }
+      drainCuts();
+      running_ = false;
+      complete_ = true;
+      return true;
     }
     if (lps_.size() == 1) {
       horizon_ = kNever;  // no cross-LP traffic possible: run to empty
@@ -456,14 +464,6 @@ void ParallelEngine::run() {
     // across worker counts and shard layouts.
     if (cutsPending_.load(std::memory_order_acquire)) drainCuts();
   }
-  // Leftover events are cadence-only (live == 0): telemetry timers past the
-  // end of the run. Discard without executing.
-  for (Lp& lp : lps_) lp.queue.clear();
-  for (Shard& sh : shards_) {
-    sh.queuedEvents.store(0, std::memory_order_relaxed);
-  }
-  drainCuts();
-  running_ = false;
 }
 
 bool ParallelEngine::empty() const { return !anyPending(); }

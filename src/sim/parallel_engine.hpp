@@ -1,4 +1,4 @@
-// Conservative parallel discrete-event engine, shard-per-core edition.
+// The discrete-event engine: conservative, shard-per-core.
 //
 // The simulation is split into logical processes (LPs): the main LP (id 0)
 // hosts the application world — every rank coroutine and the MPI matching
@@ -8,21 +8,25 @@
 // its LPs outright: their event queues, virtual clocks, sequence counters,
 // trace-hash accumulators, and statistics are touched by exactly one thread
 // for the whole run. There is no work stealing and no shared mutable round
-// state — the seastar-style shared-nothing layout.
+// state — the seastar-style shared-nothing layout. One thread (the default)
+// is one shard run inline on the caller: no worker, no barrier.
 //
-// Cross-shard traffic travels through per-(source shard, destination shard)
-// SPSC rings (sim/spsc_ring.hpp): a cross-LP send is a wait-free push by the
-// sending shard, and each shard drains its own inbound rings at round start.
-// No mutex exists anywhere on the send or drain path.
+// Cross-LP mail whose destination LP lives on the sending thread's own shard
+// goes into that shard's mail vector. Cross-shard mail travels through
+// per-(source shard, destination shard) SPSC rings (sim/spsc_ring.hpp): a
+// cross-shard send is a wait-free push by the sending shard, and each shard
+// drains its own inbound rings at round start. No mutex exists anywhere on
+// the send or drain path, and a one-shard engine has no ring at all.
 //
 // Execution proceeds in barrier-synchronized rounds (YAWNS), two parallel
 // phases per round separated by a sense-reversing spin barrier
 // (sim/barrier.hpp):
 //
-//   drain phase    every shard drains its inbound rings, sorts the mail by
-//                  the deterministic (dst LP, when, src LP, src seq) key,
-//                  appends it to the destination queues, and computes its
-//                  shard-local minimum next-event time;
+//   drain phase    every shard takes its own mail and drains its inbound
+//                  rings, sorts the mail by the deterministic (dst LP, when,
+//                  src LP, src seq) key, appends it to the destination
+//                  queues, and computes its shard-local minimum next-event
+//                  time;
 //   (serial)       the coordinator reduces the shard minima to T_min and
 //                  publishes the safe horizon H = T_min + L (L = minimum
 //                  cross-LP channel latency, the lookahead);
@@ -35,25 +39,28 @@
 // executes this round can be affected by in-flight mail. Safety does not
 // depend on the shard layout, only on the horizon rule.
 //
-// Determinism: per-LP execution order is (time, seq) exactly as on the
-// serial engine; cross-LP mail is stamped with the *sending LP's* counter
-// and merged into the destination queue in sorted (when, srcLp, srcSeq)
-// order at round boundaries. The sort key never mentions shards, so the
-// merge — and therefore verdicts, DOT output, metrics, and the per-LP
-// trace hash — is byte-identical for any --threads value and any
+// Determinism: per-LP execution order is (time, seq); cross-LP mail is
+// stamped with the *sending LP's* counter and merged into the destination
+// queue in sorted (when, srcLp, srcSeq) order at round boundaries. The sort
+// key never mentions shards, and same-shard and cross-shard mail meet in the
+// same sort, so the merge — and therefore verdicts, DOT output, metrics, and
+// the per-LP trace hash — is byte-identical for any --threads value and any
 // LP-to-shard layout.
 //
 // Quiescence hooks run serially on the coordinating thread between rounds
-// (workers parked at the barrier), with the same copy semantics as the
-// serial engine; their sends go through coordinator-owned external rings.
+// (workers parked at the barrier). The coordinator runs shard 0, so their
+// sends to shard 0 use its mail vector; sends to other shards go through
+// coordinator-owned external rings.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/barrier.hpp"
@@ -63,6 +70,91 @@
 #include "support/metrics.hpp"
 
 namespace wst::sim {
+
+namespace detail {
+
+struct Event {
+  Time when = 0;
+  std::uint64_t seq = 0;
+  std::function<void()> action;
+  /// Cadence (telemetry) events execute normally while live events exist
+  /// but never keep the engine alive: quiescence and termination are
+  /// decided as if they were not queued. See Scheduler::scheduleCadenceOn.
+  bool cadence = false;
+};
+
+/// Binary min-heap on (when, seq) whose pop() *moves* the event out —
+/// std::priority_queue::top() is const&, which forced a std::function copy
+/// (and its closure allocation) per executed event on the hottest path.
+class EventHeap {
+ public:
+  bool empty() const { return heap_.empty(); }
+  /// Events that count toward quiescence (everything but cadence events).
+  std::size_t liveSize() const { return live_; }
+  const Event& top() const { return heap_.front(); }
+
+  void push(Time when, std::uint64_t seq, std::function<void()> action,
+            bool cadence = false) {
+    heap_.push_back(Event{when, seq, std::move(action), cadence});
+    if (!cadence) ++live_;
+    siftUp(heap_.size() - 1);
+  }
+
+  /// Remove and return the earliest event (smallest (when, seq)).
+  Event pop() {
+    Event out = std::move(heap_.front());
+    Event last = std::move(heap_.back());
+    heap_.pop_back();
+    if (!heap_.empty()) siftDown(std::move(last));
+    if (!out.cadence) --live_;
+    return out;
+  }
+
+  /// Drop every queued event (end-of-run cadence cleanup).
+  void clear() {
+    heap_.clear();
+    live_ = 0;
+  }
+
+ private:
+  static bool earlier(const Event& a, const Event& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
+  static bool earlier(const Event& a, Time when, std::uint64_t seq) {
+    if (a.when != when) return a.when < when;
+    return a.seq < seq;
+  }
+
+  void siftUp(std::size_t i) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!earlier(heap_[i], heap_[parent])) break;
+      std::swap(heap_[i], heap_[parent]);
+      i = parent;
+    }
+  }
+
+  /// Place `hole` (the former last element) starting from the root.
+  void siftDown(Event hole) {
+    std::size_t i = 0;
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+      if (!earlier(heap_[child], hole.when, hole.seq)) break;
+      heap_[i] = std::move(heap_[child]);
+      i = child;
+    }
+    heap_[i] = std::move(hole);
+  }
+
+  std::vector<Event> heap_;
+  std::size_t live_ = 0;
+};
+
+}  // namespace detail
 
 class ParallelEngine final : public Scheduler {
  public:
@@ -84,13 +176,10 @@ class ParallelEngine final : public Scheduler {
   /// `threads` counts the calling thread; 1 runs everything inline (no
   /// worker threads, no barriers) with identical results. The effective
   /// shard count is min(threads, LP count) — extra threads beyond the LP
-  /// count would only spin at the barrier, so they are not spawned.
-  /// `minLookahead` seeds the lookahead; components lower it via
-  /// noteCrossLpLatency. `pinThreads` requests best-effort CPU affinity
-  /// (shard i -> core i) when the host has at least as many hardware
-  /// threads as shards; keep it off when several engines share a machine.
-  explicit ParallelEngine(std::int32_t threads = 1, Duration minLookahead = 0,
-                          bool pinThreads = false);
+  /// count would only spin at the barrier, so they are not spawned. The
+  /// lookahead is the minimum latency components declare through
+  /// noteCrossLpLatency.
+  explicit ParallelEngine(std::int32_t threads = 1);
   ~ParallelEngine() override;
 
   Time now() const override;
@@ -111,6 +200,18 @@ class ParallelEngine final : public Scheduler {
   void removeQuiescenceHook(std::size_t id) override;
 
   void run() override;
+
+  /// Cooperative slice of run(), for callers that interleave many engines
+  /// on a few threads (the serve session pool). Executes whole rounds until
+  /// eventsExecuted() reaches `untilEvents`, then yields between two rounds;
+  /// the next call resumes exactly where this one stopped, so a sliced run
+  /// executes the same events in the same order as run(). Returns true once
+  /// the run is complete (the quiescence hooks declined to continue, cuts
+  /// drained, leftover cadence timers discarded) — exactly the terminal
+  /// state run() leaves behind. A complete engine stays complete: later
+  /// calls return true at once and rerun no quiescence hook, until new
+  /// events are scheduled.
+  bool runSlice(std::uint64_t untilEvents);
 
   bool empty() const override;
   std::uint64_t eventsExecuted() const override;
@@ -138,8 +239,7 @@ class ParallelEngine final : public Scheduler {
                       bool includePerWorker = false) const;
 
  private:
-  /// A cross-LP event in flight between shards until the next round
-  /// boundary.
+  /// A cross-LP event in flight until the next round boundary.
   struct Mail {
     Time when = 0;
     LpId dstLp = 0;
@@ -164,7 +264,12 @@ class ParallelEngine final : public Scheduler {
   /// cache line (the per-worker stats of the previous engine false-shared
   /// through a contiguous vector).
   struct alignas(support::kCacheLine) Shard {
-    std::vector<Lp*> lps;       // owned LPs, ascending id
+    std::vector<Lp*> lps;  // owned LPs, ascending id
+    /// Mail for this shard's LPs sent by this shard's own thread (its LPs
+    /// in the execute phase; for shard 0 also the coordinator's external
+    /// sends), taken by the same thread in the next drain phase, so it
+    /// needs no ring.
+    std::vector<Mail> localMail;
     std::vector<Mail> scratch;  // drain staging, reused across rounds
     std::uint64_t executedEvents = 0;
     std::uint64_t crossLpEvents = 0;
@@ -189,24 +294,28 @@ class ParallelEngine final : public Scheduler {
 
   Lp* executingLp() const;
   void enqueueLocal(Lp& lp, Time when, Action action, bool cadence = false);
-  /// Wait-free push onto the (srcShard -> dst's shard) ring.
+  /// Hand `mail` to its destination shard: the mail vector of that shard
+  /// when the sending thread runs it, else a wait-free ring push.
   void pushMail(std::int32_t srcShard, Mail mail);
-  /// External (non-LP) sends: staged while idle, ring-pushed while running.
+  /// External (non-LP) sends: staged while idle, pushed while running.
   void pushExternal(Mail mail);
-  detail::SpscRing<Mail>& ring(std::int32_t srcShard, std::int32_t dstShard) {
-    return *rings_[static_cast<std::size_t>(srcShard) *
-                       static_cast<std::size_t>(shardCount_) +
-                   static_cast<std::size_t>(dstShard)];
+  /// Shard whose thread sends as `srcShard`: the external row
+  /// (shardCount_) is the coordinating thread, which runs shard 0.
+  std::int32_t threadShard(std::int32_t srcShard) const {
+    return srcShard == shardCount_ ? 0 : srcShard;
   }
-  const detail::SpscRing<Mail>& ring(std::int32_t srcShard,
-                                     std::int32_t dstShard) const {
-    return *rings_[static_cast<std::size_t>(srcShard) *
-                       static_cast<std::size_t>(shardCount_) +
-                   static_cast<std::size_t>(dstShard)];
+  /// Ring from `srcShard` (shardCount_ = the external row) to `dstShard`;
+  /// null where the sending thread runs `dstShard` itself (that mail goes
+  /// into the shard's own vector), so a one-shard engine has no ring.
+  detail::SpscRing<Mail>* ring(std::int32_t srcShard, std::int32_t dstShard) {
+    return rings_[static_cast<std::size_t>(srcShard) *
+                      static_cast<std::size_t>(shardCount_) +
+                  static_cast<std::size_t>(dstShard)]
+        .get();
   }
 
   /// (Re)build the LP-to-shard layout and the ring matrix; flush staged
-  /// external mail into the rings. Called at the top of run().
+  /// external mail into the rings. Called when a run starts.
   void ensureShards();
   void startWorkers();
   void workerMain(std::size_t shard);
@@ -227,12 +336,15 @@ class ParallelEngine final : public Scheduler {
   static thread_local Lp* tlsLp_;
 
   const std::int32_t threads_;
-  const bool pinThreads_;
   Duration lookahead_ = 0;
   std::deque<Lp> lps_;  // stable addresses; shards hold pointers
   Time globalNow_ = 0;
   std::uint64_t externalSeq_ = 0;
+  /// Inside a run: between its first round and its completion, including
+  /// the pauses between runSlice calls.
   bool running_ = false;
+  /// The last run completed and nothing was scheduled since.
+  bool complete_ = false;
 
   std::vector<std::pair<std::size_t, Action>> quiescenceHooks_;
   std::size_t nextHookId_ = 0;
@@ -245,8 +357,8 @@ class ParallelEngine final : public Scheduler {
   std::vector<std::pair<LpId, std::function<void(Time)>>> cutRequests_;
   std::atomic<bool> cutsPending_{false};
 
-  // Shard machinery, built by ensureShards() on the first run(). The ring
-  // matrix has (shardCount_ + 1) producer rows: one per shard plus the
+  // Shard machinery, built by ensureShards() when the first run starts. The
+  // ring matrix has (shardCount_ + 1) producer rows: one per shard plus the
   // external row (producer = the coordinating thread, which is the only
   // context that ever sends from outside an LP).
   std::int32_t shardCount_ = 0;
@@ -266,5 +378,11 @@ class ParallelEngine final : public Scheduler {
   std::uint64_t rounds_ = 0;  // coordinator-owned
   support::Histogram roundOccupancy_;
 };
+
+/// The benchmark driver (perfbench/driver.cpp) names the engine both ways:
+/// `sim::Engine` for its solo serve replicas, `sim::ParallelEngine` for the
+/// paper workloads. The benchmark's source stays fixed while the code it
+/// measures changes, so both spellings name the one engine.
+using Engine = ParallelEngine;
 
 }  // namespace wst::sim

@@ -1,17 +1,17 @@
 // Persistent worker pool for round-based multi-session scheduling
-// (DESIGN.md §17). `wst serve` multiplexes N independent serial simulations
-// over a fixed set of OS threads: each scheduling round distributes the
-// live sessions over the workers (atomic claiming, so a long session does
-// not convoy the short ones behind a static partition) and ends with a full
-// barrier. The barrier is what makes admission/eviction race-free: the
-// server mutates the session table only between rounds, when no worker
-// holds a session.
+// (DESIGN.md §17). `wst serve` multiplexes N independent one-thread
+// simulations over a fixed set of OS threads: each scheduling round
+// distributes the live sessions over the workers (atomic claiming, so a long
+// session does not convoy the short ones behind a static partition) and
+// ends with a full barrier. The barrier is what makes admission/eviction
+// race-free: the server mutates the session table only between rounds, when
+// no worker holds a session.
 //
-// Determinism: every session runs on a serial sim::Engine, and a session is
-// claimed by exactly one worker per round, so per-session state is only
-// ever touched by one thread at a time (handed off through the round
-// barrier's acquire/release edges). Which worker runs which session varies
-// across runs — nothing session-visible may depend on it.
+// Determinism: every session runs on its own one-thread engine, and a
+// session is claimed by exactly one worker per round, so per-session state
+// is only ever touched by one thread at a time (handed off through the
+// round barrier's acquire/release edges). Which worker runs which session
+// varies across runs — nothing session-visible may depend on it.
 #pragma once
 
 #include <atomic>

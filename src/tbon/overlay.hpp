@@ -31,13 +31,13 @@
 //
 // Parallel execution: every tool node gets a logical process of its own
 // (engine.createLp()); application processes stay on the main LP. Channel
-// latencies are declared to the engine as cross-LP lookahead, so on a
-// ParallelEngine distinct tool nodes execute concurrently — the engine pins
-// each LP to a worker shard, and cross-LP sends ride the engine's SPSC
-// rings. State is partitioned accordingly: NodeRuntime and a node's
-// outgoing Link map are only touched by that node's LP; the few shared
-// statistics use commutative relaxed atomics, cache-line padded so shards
-// incrementing different link classes never bounce one another's lines.
+// latencies are declared to the engine as cross-LP lookahead, so distinct
+// tool nodes execute concurrently — the engine pins each LP to a worker
+// shard, and cross-shard sends ride the engine's SPSC rings. State is
+// partitioned accordingly: NodeRuntime and a node's outgoing Link map are
+// only touched by that node's LP; the few shared statistics use commutative
+// relaxed atomics, cache-line padded so shards incrementing different link
+// classes never bounce one another's lines.
 #pragma once
 
 #include <algorithm>
@@ -223,31 +223,28 @@ class Overlay {
                                     (static_cast<std::uint64_t>(n) + 1));
       }
     }
-    // One logical process per tool node (the serial engine hands back
-    // kMainLp for each — everything stays on one queue).
+    // One logical process per tool node.
     nodeLps_.reserve(static_cast<std::size_t>(topology.nodeCount()));
     for (NodeId n = 0; n < topology.nodeCount(); ++n) {
       nodeLps_.push_back(engine_.createLp());
     }
-    if (engine_.parallel()) {
-      // Channel latencies bound the conservative lookahead. Only classes
-      // that actually cross LPs in this topology are declared, and they
-      // must be positive — zero-latency cross-LP links would leave the
-      // parallel engine no safe horizon.
-      WST_ASSERT(config_.appToLeaf.latency > 0,
-                 "parallel engine requires positive app->leaf latency");
-      engine_.noteCrossLpLatency(config_.appToLeaf.latency);
-      if (topology.firstLayerCount() > 1) {
-        WST_ASSERT(config_.intralayer.latency > 0,
-                   "parallel engine requires positive intralayer latency");
-        engine_.noteCrossLpLatency(config_.intralayer.latency);
-      }
-      if (topology.nodeCount() > 1) {
-        WST_ASSERT(config_.treeUp.latency > 0 && config_.treeDown.latency > 0,
-                   "parallel engine requires positive tree latencies");
-        engine_.noteCrossLpLatency(config_.treeUp.latency);
-        engine_.noteCrossLpLatency(config_.treeDown.latency);
-      }
+    // Channel latencies bound the conservative lookahead. Only classes that
+    // actually cross LPs in this topology are declared, and they must be
+    // positive — zero-latency cross-LP links would leave the engine no safe
+    // horizon.
+    WST_ASSERT(config_.appToLeaf.latency > 0,
+               "the engine requires positive app->leaf latency");
+    engine_.noteCrossLpLatency(config_.appToLeaf.latency);
+    if (topology.firstLayerCount() > 1) {
+      WST_ASSERT(config_.intralayer.latency > 0,
+                 "the engine requires positive intralayer latency");
+      engine_.noteCrossLpLatency(config_.intralayer.latency);
+    }
+    if (topology.nodeCount() > 1) {
+      WST_ASSERT(config_.treeUp.latency > 0 && config_.treeDown.latency > 0,
+                 "the engine requires positive tree latencies");
+      engine_.noteCrossLpLatency(config_.treeUp.latency);
+      engine_.noteCrossLpLatency(config_.treeDown.latency);
     }
     // Application injection channels.
     appChannels_.reserve(static_cast<std::size_t>(topology.procCount()));
@@ -302,7 +299,7 @@ class Overlay {
 
   const Topology& topology() const { return topology_; }
   sim::Scheduler& engine() { return engine_; }
-  /// Logical process hosting a tool node (kMainLp on the serial engine).
+  /// Logical process hosting a tool node.
   sim::LpId nodeLp(NodeId node) const {
     return nodeLps_[static_cast<std::size_t>(node)];
   }

@@ -835,10 +835,15 @@ std::vector<ProcId> DistributedTracker::activeSendPeerProcs() const {
     const ProcState& ps = state(p);
     // Every window send still awaiting its recvActive may have handshake
     // messages in flight; flushing their hosts covers the active-send case
-    // of paper Figure 8 and outstanding non-blocking sends.
+    // of paper Figure 8 and outstanding non-blocking sends. A receive or
+    // probe whose recvActive is still unacknowledged waits on an ack that
+    // may be in flight from the send's host: flush that host too.
     for (const OpState& op : ps.window) {
       if (isSendLikeKind(op.rec.kind) && !op.gotRecvActive) {
         peers.push_back(op.rec.peer);
+      }
+      if (op.sentRecvActive && !op.gotAck) {
+        peers.push_back(op.matchedSend.proc);
       }
     }
   }

@@ -113,9 +113,10 @@ class DistributedTracker {
   void resumeProgress();
   bool stoppedProgress() const { return stopped_; }
 
-  /// Destination processes of currently active send operations: the
-  /// consistent-state handler pings the nodes hosting their matching
-  /// receives (paper Figure 8).
+  /// Destination processes of currently active send operations, and source
+  /// processes of matched receives whose recvActiveAck is outstanding: the
+  /// consistent-state handler pings the nodes hosting them (paper Figure 8)
+  /// so no handshake message is in flight at the cut.
   std::vector<trace::ProcId> activeSendPeerProcs() const;
 
   /// Facts for root-side unexpected-match checking (paper §3.3).

@@ -247,14 +247,14 @@ TEST(FuzzRegression, CrashPlanRoundTripsByteExact) {
 TEST(FuzzRegression, CrashCorpusIsCommittedAndReplays) {
   // The committed corpus must include shrunk crash-recovery witnesses, and
   // each must replay divergence-free against a healthy tool (the recovery
-  // protocol heals the torn subtree) in both serial and threaded runs.
+  // protocol heals the torn subtree) at one and at four engine threads.
   std::size_t crashFiles = 0;
   for (const auto& file : corpusFiles()) {
     const Scenario scenario = load(file);
     if (!scenario.crash.enabled) continue;
     ++crashFiles;
     const Outcome formal = runFormalOracle(scenario);
-    for (const std::int32_t threads : {0, 4}) {
+    for (const std::int32_t threads : {1, 4}) {
       RunOptions options;
       options.faults = scenario.faults.any();
       options.threads = threads;
@@ -337,11 +337,11 @@ TEST(FuzzRegression, VerdictAndFaultScheduleAreThreadCountInvariant) {
   }
   ASSERT_TRUE(found) << "corpus has no faulted scenario";
 
-  RunOptions serial;
-  serial.faults = true;
-  const Outcome base = runDistributedOracle(scenario, serial);
-  for (int threads : {1, 2, 4}) {
-    RunOptions opt = serial;
+  RunOptions single;
+  single.faults = true;
+  const Outcome base = runDistributedOracle(scenario, single);
+  for (int threads : {2, 4}) {
+    RunOptions opt = single;
     opt.threads = threads;
     const Outcome out = runDistributedOracle(scenario, opt);
     EXPECT_EQ(compareOutcomes(base, out), "") << "threads=" << threads;

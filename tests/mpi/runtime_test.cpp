@@ -5,13 +5,13 @@
 
 #include "mpi/proc.hpp"
 #include "mpi/runtime.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace wst::mpi {
 namespace {
 
 struct World {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   Runtime rt;
   explicit World(std::int32_t procs, RuntimeConfig cfg = {})
       : rt(engine, cfg, procs) {}

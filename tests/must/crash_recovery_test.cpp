@@ -21,7 +21,7 @@
 #include "fuzz/scenario.hpp"
 #include "mpi/runtime.hpp"
 #include "must/tool.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "tbon/topology.hpp"
 #include "workloads/stress.hpp"
 
@@ -110,14 +110,6 @@ TEST(CrashRecovery, RecoveredRunIsThreadCountInvariant) {
   base1.faults = false;
   base1.threads = 1;
   const Outcome base = fuzz::runDistributedOracle(sc, base1);
-  // The serial engine agrees on everything compareOutcomes checks; its
-  // trace hash is engine-specific and only comparable within one engine
-  // kind, so the hash pin below runs on the parallel engine family.
-  RunOptions serial;
-  serial.faults = false;
-  EXPECT_EQ(fuzz::compareOutcomes(fuzz::runDistributedOracle(sc, serial),
-                                  base),
-            "");
   for (const std::int32_t threads : {2, 4}) {
     RunOptions opt = base1;
     opt.threads = threads;
@@ -143,7 +135,7 @@ struct BeatRun {
 };
 
 BeatRun runStressWithHealth(const ToolConfig& cfg, std::int32_t procs = 32) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::RuntimeConfig mpiCfg;
   mpi::Runtime runtime(engine, mpiCfg, procs);
   DistributedTool tool(engine, runtime, cfg);

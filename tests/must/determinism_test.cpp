@@ -197,27 +197,5 @@ TEST(ParallelDeterminism, ThreadsBeyondLpCountAreByteIdentical) {
   }
 }
 
-TEST(ParallelDeterminism, ParallelEngineAgreesWithSerialEngineOnVerdicts) {
-  // The serial engine is the reference implementation: virtual-time results
-  // (completion time, verdict, transition counts) must agree with the
-  // parallel engine even though the trace-hash construction differs.
-  workloads::StressParams params;
-  params.iterations = 10;
-  const auto program = workloads::cyclicExchange(params);
-  const mpi::RuntimeConfig mpiCfg;
-  ToolConfig toolCfg;
-  toolCfg.fanIn = 4;
-
-  const HarnessResult serial = runWithTool(16, mpiCfg, toolCfg, program);
-  const HarnessResult par = runWithToolThreaded(4, 16, mpiCfg, toolCfg,
-                                                program);
-  EXPECT_EQ(serial.allFinalized, par.allFinalized);
-  EXPECT_EQ(serial.deadlockReported, par.deadlockReported);
-  EXPECT_EQ(serial.completionTime, par.completionTime);
-  EXPECT_EQ(serial.transitions, par.transitions);
-  EXPECT_EQ(serial.toolMessages, par.toolMessages);
-  EXPECT_EQ(serial.eventsExecuted, par.eventsExecuted);
-}
-
 }  // namespace
 }  // namespace wst::must

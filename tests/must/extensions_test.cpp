@@ -20,7 +20,7 @@ TEST(Extensions, DistributedUnexpectedMatchDetectedAtRoot) {
   mpiCfg.ranksPerNode = 4;
   mpiCfg.collectiveSync = mpi::CollectiveSync::kRooted;
 
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiCfg, 3);
   DistributedTool tool(engine, runtime, ToolConfig{.fanIn = 2});
   runtime.runToCompletion(workloads::figure4());
@@ -38,7 +38,7 @@ TEST(Extensions, DistributedUnexpectedMatchDetectedAtRoot) {
 
 TEST(Extensions, NoUnexpectedMatchesOnPlainDeadlocks) {
   const auto program = workloads::recvRecvDeadlock();
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpi::RuntimeConfig{}, 2);
   DistributedTool tool(engine, runtime, ToolConfig{.fanIn = 2});
   runtime.runToCompletion(program);

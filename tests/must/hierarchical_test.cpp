@@ -29,7 +29,7 @@ struct ToolRun {
 
 ToolRun runTool(std::int32_t procs, const ToolConfig& toolCfg,
                 const mpi::Runtime::Program& program) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpi::RuntimeConfig{}, procs);
   DistributedTool tool(engine, runtime, toolCfg);
   runtime.runToCompletion(program);

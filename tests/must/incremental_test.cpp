@@ -32,7 +32,7 @@ struct ToolRun {
 ToolRun runTool(std::int32_t procs, const mpi::RuntimeConfig& mpiCfg,
                 const ToolConfig& toolCfg,
                 const mpi::Runtime::Program& program) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiCfg, procs);
   DistributedTool tool(engine, runtime, toolCfg);
   runtime.runToCompletion(program);

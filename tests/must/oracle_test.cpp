@@ -172,7 +172,7 @@ struct OracleOutcome {
 };
 
 OracleOutcome runFormal(const Plan& plan, const mpi::RuntimeConfig& mpiCfg) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiCfg, plan.procs);
   Recorder recorder(runtime);
   runtime.runToCompletion(programFromPlan(plan));
@@ -193,7 +193,7 @@ OracleOutcome runFormal(const Plan& plan, const mpi::RuntimeConfig& mpiCfg) {
 OracleOutcome runDistributed(const Plan& plan,
                              const mpi::RuntimeConfig& mpiCfg,
                              std::int32_t fanIn) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiCfg, plan.procs);
   ToolConfig cfg;
   cfg.fanIn = fanIn;

@@ -12,7 +12,7 @@ namespace {
 using mpi::Proc;
 
 TEST(Recorder, RecordsCleanRunAndAnalysisFinishes) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpi::RuntimeConfig{}, 3);
   Recorder recorder(runtime);
   runtime.runToCompletion([](Proc& self) -> sim::Task {
@@ -31,7 +31,7 @@ TEST(Recorder, RecordsCleanRunAndAnalysisFinishes) {
 }
 
 TEST(Recorder, WildcardResolutionRecorded) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpi::RuntimeConfig{}, 3);
   Recorder recorder(runtime);
   runtime.runToCompletion([](Proc& self) -> sim::Task {
@@ -57,7 +57,7 @@ TEST(Recorder, WildcardResolutionRecorded) {
 }
 
 TEST(Recorder, CommSplitGroupsRegistered) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpi::RuntimeConfig{}, 4);
   Recorder recorder(runtime);
   runtime.runToCompletion([](Proc& self) -> sim::Task {
@@ -78,7 +78,7 @@ TEST(Recorder, CommSplitGroupsRegistered) {
 }
 
 TEST(Recorder, DeadlockedRunAnalyzesAsDeadlock) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpi::RuntimeConfig{}, 2);
   Recorder recorder(runtime);
   runtime.runToCompletion(workloads::recvRecvDeadlock());

@@ -17,6 +17,7 @@
 #include "fuzz/scenario.hpp"
 #include "must/serve.hpp"
 #include "support/strings.hpp"
+#include "wfg/report.hpp"
 
 namespace wst::must {
 namespace {
@@ -81,29 +82,63 @@ TEST(Serve, EightSessionsMatchSoloRunsByteForByte) {
   EXPECT_GT(server.roundsRun(), 1u);
 }
 
+std::vector<SessionResult> serveAll(const std::vector<SessionSpec>& specs,
+                                    std::int32_t threads, std::int32_t cap,
+                                    std::uint64_t slice) {
+  ServeServer::Config cfg;
+  cfg.threads = threads;
+  cfg.sessionCap = cap;
+  cfg.sliceEvents = slice;
+  ServeServer server(cfg);
+  for (const SessionSpec& spec : specs) server.submit(spec);
+  server.run();
+  return server.results();
+}
+
 TEST(Serve, ResultsAreThreadCountAndCapInvariant) {
-  const auto specs = eightSessions();
-  const auto runWith = [&](std::int32_t threads, std::int32_t cap) {
-    ServeServer::Config cfg;
-    cfg.threads = threads;
-    cfg.sessionCap = cap;
-    cfg.sliceEvents = 64;
-    ServeServer server(cfg);
-    for (const SessionSpec& spec : specs) server.submit(spec);
-    server.run();
-    return server.results();
+  // Each mix runs at its base (threads, cap) and at the variants below. A
+  // session's scheduling rounds (its slice count) follow from its own
+  // events and the slice size alone, so they match too.
+  struct Mix {
+    std::vector<SessionSpec> specs;
+    std::int32_t baseCap = 0;
+    std::uint64_t slice = 0;
+    std::vector<std::pair<std::int32_t, std::int32_t>> variants;
   };
-  const auto base = runWith(1, 8);
-  for (const auto& [threads, cap] :
-       std::vector<std::pair<std::int32_t, std::int32_t>>{
-           {4, 8}, {1, 3}, {4, 3}, {2, 1}}) {
-    const auto other = runWith(threads, cap);
-    ASSERT_EQ(other.size(), base.size());
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      expectSameResult(base[i], other[i],
-                       support::format("threads=%d cap=%d session %zu",
-                                       threads, cap, i));
+  std::vector<SessionSpec> wide;  // the `wst serve` shape: all concurrent
+  for (std::int32_t i = 0; i < 64; ++i) {
+    wide.push_back(makeSpec(i, static_cast<std::uint64_t>(i + 1)));
+  }
+  const std::vector<Mix> mixes{
+      {eightSessions(), 8, 64, {{4, 8}, {1, 3}, {4, 3}, {2, 1}}},
+      {wide, 64, 256, {{2, 64}, {4, 64}}},
+  };
+  for (const Mix& mix : mixes) {
+    const auto base = serveAll(mix.specs, 1, mix.baseCap, mix.slice);
+    for (const auto& [threads, cap] : mix.variants) {
+      const auto other = serveAll(mix.specs, threads, cap, mix.slice);
+      ASSERT_EQ(other.size(), base.size());
+      for (std::size_t i = 0; i < base.size(); ++i) {
+        const std::string context = support::format(
+            "sessions=%zu threads=%d cap=%d session %zu", mix.specs.size(),
+            threads, cap, i);
+        expectSameResult(base[i], other[i], context);
+        EXPECT_EQ(base[i].rounds, other[i].rounds) << context;
+      }
     }
+  }
+}
+
+TEST(Serve, CompletingRunsReportNoDeadlockFromAnyRound) {
+  // In each of these runs a periodic round once reported a deadlock and the
+  // run then completed: a recvActiveAck was still in flight at the
+  // consistent cut. The consistent-state pings now flush it.
+  const std::string clean = wfg::summaryLine(wfg::CheckResult{});
+  for (const std::uint64_t seed : {32024u, 105886u, 152183u}) {
+    const SessionResult r = runSessionSolo(makeSpec(0, seed));
+    EXPECT_TRUE(r.completed) << seed;
+    EXPECT_EQ(r.summary, clean) << seed;
+    EXPECT_FALSE(r.deadlock) << seed;
   }
 }
 

@@ -111,7 +111,7 @@ TEST_P(SoundnessTest, ReportedDeadlockedProcsNeverFinalize) {
   toolCfg.batchWaitState = batch;
   toolCfg.waitStateBatch.flushInterval = 150 * sim::kMicrosecond;
 
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiCfg, sc.procs);
   DistributedTool tool(engine, runtime, toolCfg);
   runtime.start(scenarioProgram(sc));
@@ -161,7 +161,7 @@ TEST(SoundnessBatching, SnapshotArrivesWithTrioStaged) {
   toolCfg.batchWaitState = true;
   toolCfg.waitStateBatch.flushInterval = 10 * sim::kMillisecond;
 
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, mpiCfg, sc.procs);
   DistributedTool tool(engine, runtime, toolCfg);
   runtime.start(scenarioProgram(sc));

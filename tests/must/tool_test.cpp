@@ -451,7 +451,7 @@ TEST(Tool, DeadlockReportIncludesWaitHistoryWhenTraced) {
   // With the flight recorder attached, the HTML report gains a per-process
   // blocked-time attribution section and a tail of recorded events for every
   // deadlocked process.
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   support::Tracer::Config traceCfg;
   traceCfg.clock = [&engine] {
     return static_cast<std::uint64_t>(engine.now());
@@ -485,7 +485,7 @@ TEST(Tool, DeadlockReportIncludesWaitHistoryWhenTraced) {
 }
 
 TEST(Tool, AttachTraceToReportIsANoOpWithoutTracer) {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, smallWorld(), 8);
   DistributedTool tool(engine, runtime, ToolConfig{.fanIn = 4});
   runtime.runToCompletion(workloads::wildcardDeadlock());

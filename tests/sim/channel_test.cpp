@@ -4,13 +4,13 @@
 #include <vector>
 
 #include "sim/channel.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace wst::sim {
 namespace {
 
 TEST(Channel, DeliversAfterLatency) {
-  Engine e;
+  ParallelEngine e;
   std::vector<std::pair<Time, int>> got;
   Channel<int> ch(e, ChannelConfig{.latency = 100, .perByte = 0, .credits = 0},
                   [&](int&& v) { got.emplace_back(e.now(), v); });
@@ -21,7 +21,7 @@ TEST(Channel, DeliversAfterLatency) {
 }
 
 TEST(Channel, PerByteCostAddsToLatency) {
-  Engine e;
+  ParallelEngine e;
   Time arrival = 0;
   Channel<int> ch(e, ChannelConfig{.latency = 100, .perByte = 2, .credits = 0},
                   [&](int&&) { arrival = e.now(); });
@@ -31,7 +31,7 @@ TEST(Channel, PerByteCostAddsToLatency) {
 }
 
 TEST(Channel, NonOvertakingEvenWithDifferentSizes) {
-  Engine e;
+  ParallelEngine e;
   std::vector<int> order;
   Channel<int> ch(e, ChannelConfig{.latency = 10, .perByte = 1, .credits = 0},
                   [&](int&& v) { order.push_back(v); });
@@ -42,7 +42,7 @@ TEST(Channel, NonOvertakingEvenWithDifferentSizes) {
 }
 
 TEST(Channel, CountsTraffic) {
-  Engine e;
+  ParallelEngine e;
   Channel<int> ch(e, ChannelConfig{}, [](int&&) {});
   ch.send(1, 10);
   ch.send(2, 20);
@@ -51,7 +51,7 @@ TEST(Channel, CountsTraffic) {
 }
 
 TEST(Channel, CreditsExhaustAndReturn) {
-  Engine e;
+  ParallelEngine e;
   std::vector<int> got;
   Channel<int>* chp = nullptr;
   Channel<int> ch(e, ChannelConfig{.latency = 1, .perByte = 0, .credits = 2},
@@ -77,7 +77,7 @@ TEST(Channel, CreditsExhaustAndReturn) {
 }
 
 TEST(Channel, CreditWaitersWakeInFifoOrder) {
-  Engine e;
+  ParallelEngine e;
   Channel<int>* chp = nullptr;
   Channel<int> ch(e, ChannelConfig{.latency = 1, .perByte = 0, .credits = 1},
                   [](int&&) {});
@@ -99,7 +99,7 @@ TEST(Channel, CreditWaitersWakeInFifoOrder) {
 }
 
 TEST(Channel, MovesPayload) {
-  Engine e;
+  ParallelEngine e;
   std::string got;
   Channel<std::string> ch(e, ChannelConfig{},
                           [&](std::string&& s) { got = std::move(s); });

@@ -1,20 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace wst::sim {
 namespace {
 
 TEST(Engine, StartsAtTimeZero) {
-  Engine e;
+  ParallelEngine e;
   EXPECT_EQ(e.now(), 0u);
   EXPECT_TRUE(e.empty());
 }
 
 TEST(Engine, RunsEventsInTimeOrder) {
-  Engine e;
+  ParallelEngine e;
   std::vector<int> order;
   e.schedule(30, [&] { order.push_back(3); });
   e.schedule(10, [&] { order.push_back(1); });
@@ -25,7 +28,7 @@ TEST(Engine, RunsEventsInTimeOrder) {
 }
 
 TEST(Engine, TiesBreakByInsertionOrder) {
-  Engine e;
+  ParallelEngine e;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     e.schedule(100, [&order, i] { order.push_back(i); });
@@ -35,7 +38,7 @@ TEST(Engine, TiesBreakByInsertionOrder) {
 }
 
 TEST(Engine, EventsMayScheduleMoreEvents) {
-  Engine e;
+  ParallelEngine e;
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 10) e.schedule(5, recurse);
@@ -47,7 +50,7 @@ TEST(Engine, EventsMayScheduleMoreEvents) {
 }
 
 TEST(Engine, QuiescenceHookRunsWhenQueueDrains) {
-  Engine e;
+  ParallelEngine e;
   int hookRuns = 0;
   e.addQuiescenceHook([&] { ++hookRuns; });
   e.schedule(10, [] {});
@@ -56,7 +59,7 @@ TEST(Engine, QuiescenceHookRunsWhenQueueDrains) {
 }
 
 TEST(Engine, QuiescenceHookMayResumeTheRun) {
-  Engine e;
+  ParallelEngine e;
   int hookRuns = 0;
   bool lateEventRan = false;
   e.addQuiescenceHook([&] {
@@ -70,7 +73,7 @@ TEST(Engine, QuiescenceHookMayResumeTheRun) {
 }
 
 TEST(Engine, RemovedHookDoesNotRun) {
-  Engine e;
+  ParallelEngine e;
   int runs = 0;
   const auto id = e.addQuiescenceHook([&] { ++runs; });
   e.removeQuiescenceHook(id);
@@ -80,7 +83,7 @@ TEST(Engine, RemovedHookDoesNotRun) {
 }
 
 TEST(Engine, HookAddedByRunningHookRunsNextRound) {
-  Engine e;
+  ParallelEngine e;
   int firstRuns = 0;
   int addedRuns = 0;
   e.addQuiescenceHook([&] {
@@ -99,7 +102,7 @@ TEST(Engine, HookAddedByRunningHookRunsNextRound) {
 }
 
 TEST(Engine, HookRemovedByEarlierHookStillRunsThisRound) {
-  Engine e;
+  ParallelEngine e;
   int removedRuns = 0;
   std::size_t victimId = 0;
   e.addQuiescenceHook([&] { e.removeQuiescenceHook(victimId); });
@@ -112,7 +115,7 @@ TEST(Engine, HookRemovedByEarlierHookStillRunsThisRound) {
 }
 
 TEST(Engine, HookMayRemoveItselfWhileRunning) {
-  Engine e;
+  ParallelEngine e;
   int runs = 0;
   std::size_t id = 0;
   id = e.addQuiescenceHook([&] {
@@ -127,7 +130,7 @@ TEST(Engine, HookMayRemoveItselfWhileRunning) {
 
 TEST(Engine, TraceHashIsReproducible) {
   const auto run = [] {
-    Engine e;
+    ParallelEngine e;
     for (int i = 0; i < 20; ++i) {
       e.schedule(static_cast<Duration>((i * 7) % 5), [] {});
     }
@@ -138,28 +141,81 @@ TEST(Engine, TraceHashIsReproducible) {
 }
 
 TEST(Engine, TraceHashDistinguishesSchedules) {
-  Engine a;
+  ParallelEngine a;
   a.schedule(10, [] {});
   a.run();
-  Engine b;
+  ParallelEngine b;
   b.schedule(11, [] {});
   b.run();
   EXPECT_NE(a.traceHash(), b.traceHash());
 }
 
-TEST(Engine, RunSomeExecutesBoundedEvents) {
-  Engine e;
-  int ran = 0;
-  for (int i = 0; i < 10; ++i) e.schedule(i, [&] { ++ran; });
-  EXPECT_EQ(e.runSome(4), 4u);
-  EXPECT_EQ(ran, 4);
-  EXPECT_FALSE(e.empty());
-  e.run();
-  EXPECT_EQ(ran, 10);
+// Three LPs passing a token around a ring, plus a local chain per LP: many
+// rounds, cross-LP mail, and one quiescence hook that revives the run once.
+void buildRing(ParallelEngine& e, int& hookRuns) {
+  std::vector<LpId> lps{kMainLp, e.createLp(), e.createLp()};
+  e.noteCrossLpLatency(4);
+  for (std::size_t k = 0; k < lps.size(); ++k) {
+    const LpId next = lps[(k + 1) % lps.size()];
+    auto tick = std::make_shared<std::function<void(int)>>();
+    // The closure holds its own std::function weakly: a strong capture
+    // would be a reference cycle that leaks the closure.
+    *tick = [&e, next, weak = std::weak_ptr(tick)](int left) {
+      if (left == 0) return;
+      const auto self = weak.lock();
+      if (left % 4 == 0) {
+        e.scheduleOn(next, e.now() + 4, [self, left] { (*self)(left - 1); });
+      } else {
+        e.schedule(1, [self, left] { (*self)(left - 1); });
+      }
+    };
+    e.scheduleOn(lps[k], 0, [tick] { (*tick)(40); });
+  }
+  e.addQuiescenceHook([&e, &hookRuns] {
+    if (++hookRuns == 1) e.schedule(3, [] {});
+  });
+}
+
+TEST(Engine, RunSliceStopsBetweenRoundsAndReproducesRun) {
+  for (const std::int32_t threads : {1, 2, 4}) {
+    int wholeHooks = 0;
+    ParallelEngine whole(threads);
+    buildRing(whole, wholeHooks);
+    whole.run();
+
+    int slicedHooks = 0;
+    ParallelEngine sliced(threads);
+    buildRing(sliced, slicedHooks);
+    std::uint64_t target = 0;
+    int slices = 0;
+    bool complete = false;
+    while (!complete) {
+      target += 16;
+      ++slices;
+      complete = sliced.runSlice(target);
+      // A slice stops only at a round boundary at or past its target.
+      if (!complete) {
+        EXPECT_GE(sliced.eventsExecuted(), target);
+      }
+    }
+    EXPECT_GT(slices, 3) << "threads=" << threads;
+    EXPECT_EQ(sliced.traceHash(), whole.traceHash()) << "threads=" << threads;
+    EXPECT_EQ(sliced.eventsExecuted(), whole.eventsExecuted());
+    EXPECT_EQ(sliced.now(), whole.now());
+    EXPECT_EQ(slicedHooks, 2);
+    EXPECT_EQ(wholeHooks, 2);
+
+    // A complete engine stays complete: no events, no quiescence hook.
+    const std::uint64_t events = sliced.eventsExecuted();
+    EXPECT_TRUE(sliced.runSlice(target + 16));
+    sliced.run();
+    EXPECT_EQ(sliced.eventsExecuted(), events);
+    EXPECT_EQ(slicedHooks, 2);
+  }
 }
 
 TEST(Engine, ScheduleAtAbsoluteTime) {
-  Engine e;
+  ParallelEngine e;
   Time seen = 0;
   e.scheduleAt(123, [&] { seen = e.now(); });
   e.run();
@@ -167,7 +223,7 @@ TEST(Engine, ScheduleAtAbsoluteTime) {
 }
 
 TEST(Engine, CountsExecutedEvents) {
-  Engine e;
+  ParallelEngine e;
   for (int i = 0; i < 7; ++i) e.schedule(1, [] {});
   e.run();
   EXPECT_EQ(e.eventsExecuted(), 7u);

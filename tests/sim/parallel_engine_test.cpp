@@ -26,28 +26,6 @@ TEST(ParallelEngine, SingleLpBehavesLikeSerialEngine) {
   EXPECT_EQ(e.eventsExecuted(), 3u);
 }
 
-TEST(ParallelEngine, MatchesSerialEngineTraceHash) {
-  const auto schedule = [](Scheduler& e) {
-    for (int i = 0; i < 25; ++i) {
-      e.schedule(static_cast<Duration>((i * 13) % 7), [] {});
-    }
-  };
-  Engine serial;
-  schedule(serial);
-  serial.run();
-  ParallelEngine par(4);
-  schedule(par);
-  par.run();
-  // One LP: the parallel engine's trace must equal the serial engine's
-  // (the per-LP fold adds the executed count, so compare the raw streams
-  // via a second identically-scheduled parallel run instead).
-  ParallelEngine par2(1);
-  schedule(par2);
-  par2.run();
-  EXPECT_EQ(par.traceHash(), par2.traceHash());
-  EXPECT_EQ(par.eventsExecuted(), serial.eventsExecuted());
-}
-
 TEST(ParallelEngine, CrossLpEventsExecuteInTimestampOrder) {
   for (const std::int32_t threads : {1, 2, 4}) {
     ParallelEngine e(threads);
@@ -88,11 +66,14 @@ TEST(ParallelEngine, DeterministicAcrossThreadCounts) {
     for (std::size_t k = 0; k < lps.size(); ++k) {
       const LpId self = lps[k];
       const LpId next = lps[(k + 1) % lps.size()];
-      std::shared_ptr<std::function<void(int)>> tick =
-          std::make_shared<std::function<void(int)>>();
-      *tick = [&e, &executed, self, next, tick](int remaining) {
+      auto tick = std::make_shared<std::function<void(int)>>();
+      // Weak self-reference: capturing `tick` itself would be a cycle that
+      // leaks the closure.
+      *tick = [&e, &executed, next, weak = std::weak_ptr(tick)](
+                  int remaining) {
         executed.fetch_add(1, std::memory_order_relaxed);
         if (remaining == 0) return;
+        const auto tick = weak.lock();
         if (remaining % 3 == 0) {
           e.scheduleOn(next, e.now() + 5,
                        [tick, remaining] { (*tick)(remaining - 1); });
@@ -180,10 +161,12 @@ std::pair<std::uint64_t, std::uint64_t> runMeshWorkload(ParallelEngine& e,
   for (std::size_t k = 0; k < lps.size(); ++k) {
     const LpId self = lps[k];
     const LpId next = lps[(k + 1) % lps.size()];
-    std::shared_ptr<std::function<void(int)>> tick =
-        std::make_shared<std::function<void(int)>>();
-    *tick = [&e, self, next, tick](int remaining) {
+    auto tick = std::make_shared<std::function<void(int)>>();
+    // Weak self-reference: capturing `tick` itself would be a cycle that
+    // leaks the closure.
+    *tick = [&e, next, weak = std::weak_ptr(tick)](int remaining) {
       if (remaining == 0) return;
+      const auto tick = weak.lock();
       if (remaining % 3 == 0) {
         e.scheduleOn(next, e.now() + 5,
                      [tick, remaining] { (*tick)(remaining - 1); });
@@ -200,7 +183,7 @@ std::pair<std::uint64_t, std::uint64_t> runMeshWorkload(ParallelEngine& e,
 TEST(ParallelEngine, ShardCountClampsToLpCount) {
   // 8 threads but only 3 LPs: extra threads would just spin at the barrier,
   // so the engine must not spawn them — and the results must still match a
-  // serial run exactly.
+  // one-thread run exactly.
   ParallelEngine wide(8);
   const auto wideResult = runMeshWorkload(wide, 3);
   EXPECT_EQ(wide.shardCount(), 3);
@@ -271,14 +254,6 @@ TEST(ParallelEngine, ExternalSchedulingBetweenRunsResumes) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(mainRan.load());
   EXPECT_EQ(e.eventsExecuted(), afterFirst + 3);
-}
-
-TEST(ParallelEngine, PinnedThreadsProduceIdenticalTrace) {
-  // Pinning is a best-effort perf knob; it must never change results.
-  ParallelEngine plain(4);
-  const auto expected = runMeshWorkload(plain, 4);
-  ParallelEngine pinned(4, /*minLookahead=*/0, /*pinThreads=*/true);
-  EXPECT_EQ(runMeshWorkload(pinned, 4), expected);
 }
 
 }  // namespace

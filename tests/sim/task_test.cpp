@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "sim/awaitables.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/task.hpp"
 
 namespace wst::sim {
@@ -23,7 +23,7 @@ TEST(Task, RunsOnStart) {
   EXPECT_TRUE(t.done());
 }
 
-Task delayedBody(Engine& e, std::vector<Time>& stamps) {
+Task delayedBody(ParallelEngine& e, std::vector<Time>& stamps) {
   stamps.push_back(e.now());
   co_await Delay{e, 100};
   stamps.push_back(e.now());
@@ -32,7 +32,7 @@ Task delayedBody(Engine& e, std::vector<Time>& stamps) {
 }
 
 TEST(Task, DelaySuspendsAndResumesAtVirtualTime) {
-  Engine e;
+  ParallelEngine e;
   std::vector<Time> stamps;
   Task t = delayedBody(e, stamps);
   t.start();
@@ -45,13 +45,13 @@ TEST(Task, DelaySuspendsAndResumesAtVirtualTime) {
   EXPECT_TRUE(t.done());
 }
 
-Task child(Engine& e, std::vector<int>& log) {
+Task child(ParallelEngine& e, std::vector<int>& log) {
   log.push_back(1);
   co_await Delay{e, 10};
   log.push_back(2);
 }
 
-Task parent(Engine& e, std::vector<int>& log) {
+Task parent(ParallelEngine& e, std::vector<int>& log) {
   log.push_back(0);
   co_await child(e, log);
   log.push_back(3);
@@ -60,7 +60,7 @@ Task parent(Engine& e, std::vector<int>& log) {
 }
 
 TEST(Task, NestedTasksResumeParent) {
-  Engine e;
+  ParallelEngine e;
   std::vector<int> log;
   Task t = parent(e, log);
   t.start();
@@ -124,7 +124,7 @@ TEST(Gate, ResetAllowsReuse) {
 }
 
 TEST(Task, DestroyWhileSuspendedIsSafe) {
-  Engine e;
+  ParallelEngine e;
   std::vector<Time> stamps;
   {
     Task t = delayedBody(e, stamps);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "tbon/overlay.hpp"
 #include "tbon/topology.hpp"
 
@@ -15,7 +17,7 @@ struct Msg {
 };
 
 struct Fixture {
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   Topology topology;
   Overlay<Msg> overlay;
   std::vector<std::pair<NodeId, int>> received;
@@ -43,12 +45,18 @@ TEST(Overlay, InjectReachesHostingLeaf) {
 
 TEST(Overlay, SendUpReachesParentAndDownReachesChild) {
   Fixture f(8, 4);  // nodes 0,1 -> root 2
+  // Both messages arrive at 2 us, on different nodes' LPs. The engine
+  // defines no order between LPs at one time, so check each node.
+  std::map<NodeId, std::pair<int, sim::Time>> arrivals;
+  f.overlay.setHandler([&f, &arrivals](NodeId node, Msg&& m) {
+    arrivals[node] = {m.tag, f.engine.now()};
+  });
   f.overlay.sendUp(0, Msg{1}, 4);
   f.overlay.sendDown(2, 1, Msg{2}, 4);
   f.engine.run();
-  ASSERT_EQ(f.received.size(), 2u);
-  EXPECT_EQ(f.received[0], (std::pair<NodeId, int>{2, 1}));
-  EXPECT_EQ(f.received[1], (std::pair<NodeId, int>{1, 2}));
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[2], (std::pair<int, sim::Time>{1, 2'000}));
+  EXPECT_EQ(arrivals[1], (std::pair<int, sim::Time>{2, 2'000}));
 }
 
 TEST(Overlay, IntralayerAndSelfDelivery) {

@@ -14,7 +14,7 @@
 #include "fuzz/scenario.hpp"
 #include "mpi/runtime.hpp"
 #include "must/recorder.hpp"
-#include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "support/rng.hpp"
 #include "waitstate/transition_system.hpp"
 
@@ -23,7 +23,7 @@ namespace {
 
 trace::MatchedTrace traceOf(const fuzz::Scenario& scenario) {
   const auto sc = std::make_shared<const fuzz::Scenario>(scenario);
-  sim::Engine engine;
+  sim::ParallelEngine engine;
   mpi::RuntimeConfig cfg;
   cfg.ranksPerNode = 2;
   mpi::Runtime runtime(engine, cfg, scenario.procs);

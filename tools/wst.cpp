@@ -65,8 +65,8 @@ struct Options {
   std::int32_t iterations = 50;
   std::int32_t distance = 1;  // stress neighbour distance (ring stride)
   std::int32_t active = 0;    // stress active ranks (0 = all)
-  std::int32_t threads = 1;   // parallel engine workers; 0 = classic serial
-  bool engineStats = false;   // print parallel-engine round statistics
+  std::int32_t threads = 1;   // engine worker threads
+  bool engineStats = false;   // print engine round statistics
   sim::Duration periodic = 0;
   bool noIncremental = false;  // full gather + cold check every round
   bool verifyIncremental = false;  // side-by-side full check each round
@@ -123,10 +123,9 @@ void printUsage() {
       "  --rooted-collectives     rooted collectives do not synchronize\n"
       "  --prioritize             prefer wait-state messages (smaller windows)\n"
       "  --batch                  coalesce wait-state messages per link\n"
-      "  --threads N              parallel engine worker threads (default: 1;\n"
-      "                           0 = classic single-queue serial engine).\n"
+      "  --threads N              engine worker threads (default 1).\n"
       "                           Results are identical for any N\n"
-      "  --engine-stats           print parallel engine round statistics\n"
+      "  --engine-stats           print engine round statistics\n"
       "  --periodic-ms X          periodic detection every X virtual ms\n"
       "  --no-incremental         full wait-info gather + cold deadlock check\n"
       "                           every round (incremental is the default)\n"
@@ -183,8 +182,8 @@ void printUsage() {
       "  --runs N                 scenarios to generate and check (default 100)\n"
       "  --seed S                 campaign seed; same seed + options =>\n"
       "                           byte-identical scenarios and verdicts\n"
-      "  --threads N              distributed runs on the parallel engine\n"
-      "                           (default 0 = serial)\n"
+      "  --threads N              engine worker threads of the distributed\n"
+      "                           runs (default 1)\n"
       "  --batch                  enable wait-state batching in the tool\n"
       "  --hierarchical           run every distributed check with the\n"
       "                           hierarchical in-tree path and its in-tool\n"
@@ -308,7 +307,7 @@ int runFuzz(int argc, char** argv) {
     } else if (arg == "--seed") {
       cfg.seed = parseSeed(arg, value());
     } else if (arg == "--threads") {
-      cfg.threads = parseNumber<std::int32_t>(arg, value(), 0);
+      cfg.threads = parseNumber<std::int32_t>(arg, value(), 1);
     } else if (arg == "--batch") {
       cfg.batch = true;
     } else if (arg == "--hierarchical") {
@@ -593,7 +592,7 @@ int runWorkload(const Options& opt) {
       std::vector<trace::LocalTs> state;
     };
     const auto runSide = [&](const analysis::Certificate* certificate) {
-      sim::Engine engine;
+      sim::ParallelEngine engine;
       mpi::Runtime runtime(engine, mpiCfg, opt.procs);
       must::ToolConfig cfg = toolCfg;
       cfg.certificate = certificate;
@@ -645,20 +644,9 @@ int runWorkload(const Options& opt) {
               opt.centralized ? "centralized" : "distributed", toolCfg.fanIn,
               opt.faithful ? "implementation-faithful" : "conservative");
 
-  // --threads 0 selects the classic single-queue serial engine; N >= 1 runs
-  // the conservative parallel engine with N workers (N == 1 executes inline,
-  // no threads spawned). Periodic detection runs on the root node's LP and
-  // composes with any engine.
-  std::unique_ptr<sim::Scheduler> engineHolder;
-  sim::ParallelEngine* parEngine = nullptr;
-  if (opt.threads == 0) {
-    engineHolder = std::make_unique<sim::Engine>();
-  } else {
-    auto par = std::make_unique<sim::ParallelEngine>(opt.threads);
-    parEngine = par.get();
-    engineHolder = std::move(par);
-  }
-  sim::Scheduler& engine = *engineHolder;
+  // N worker threads (N == 1 executes inline, no threads spawned). Periodic
+  // detection runs on the root node's LP.
+  sim::ParallelEngine engine(opt.threads);
 
   // The flight recorder is only constructed when asked for; everywhere else
   // a null tracer/track pointer short-circuits before any argument work.
@@ -718,10 +706,7 @@ int runWorkload(const Options& opt) {
     }
   }
 
-  if (parEngine != nullptr) {
-    parEngine->publishMetrics(tool.metrics(),
-                              /*includePerWorker=*/opt.engineStats);
-  }
+  engine.publishMetrics(tool.metrics(), /*includePerWorker=*/opt.engineStats);
   if (tracer) {
     tool.metrics().gauge("trace/dropped_events")
         .set(static_cast<std::int64_t>(tracer->totalDropped()));
@@ -768,19 +753,19 @@ int runWorkload(const Options& opt) {
                                         tbon::LinkClass::kIntralayer))
                     .c_str());
   }
-  if (opt.engineStats && parEngine != nullptr) {
-    const sim::ParallelEngine::Stats& st = parEngine->stats();
+  if (opt.engineStats) {
+    const sim::ParallelEngine::Stats& st = engine.stats();
     std::printf("engine: %d thread(s), %d LPs, lookahead %s, %s rounds, "
                 "%s horizon stalls, %s cross-LP events "
                 "(mailbox high water %zu), trace hash %016llx\n",
-                parEngine->threads(), parEngine->lpCount(),
-                support::formatDurationNs(parEngine->lookahead()).c_str(),
+                engine.threads(), engine.lpCount(),
+                support::formatDurationNs(engine.lookahead()).c_str(),
                 support::withCommas(st.rounds).c_str(),
                 support::withCommas(st.horizonStalls).c_str(),
                 support::withCommas(st.crossLpEvents).c_str(),
                 st.mailboxHighWater,
                 static_cast<unsigned long long>(engine.traceHash()));
-    const support::Histogram& occ = parEngine->roundOccupancy();
+    const support::Histogram& occ = engine.roundOccupancy();
     std::printf("engine: runnable LPs per round p50 %.1f, p99 %.1f, max %s\n",
                 occ.quantile(0.5), occ.quantile(0.99),
                 support::withCommas(occ.max()).c_str());
@@ -853,7 +838,7 @@ int runWorkload(const Options& opt) {
   }
 
   if (opt.compare) {
-    sim::Engine refEngine;
+    sim::ParallelEngine refEngine;
     mpi::Runtime refRuntime(refEngine, mpiCfg, opt.procs);
     refRuntime.runToCompletion(*program);
     if (refEngine.now() > 0) {
@@ -1020,7 +1005,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--active") {
       opt.active = parseNumber<std::int32_t>(arg, value(), 0);
     } else if (arg == "--threads") {
-      opt.threads = parseNumber<std::int32_t>(arg, value(), 0);
+      opt.threads = parseNumber<std::int32_t>(arg, value(), 1);
     } else if (arg == "--engine-stats") {
       opt.engineStats = true;
     } else if (arg == "--periodic-ms") {

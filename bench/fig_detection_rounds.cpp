@@ -46,7 +46,7 @@ RoundsOutcome runRounds(std::int32_t procs, bool incremental) {
   must::ToolConfig cfg = bench::distributedTool(8);
   cfg.incrementalGather = incremental;
   cfg.periodicDetection = 500 * sim::kMicrosecond;
-  cfg.verifyIncremental = std::getenv("WST_VERIFY_INCREMENTAL") != nullptr;
+  cfg.verify = std::getenv("WST_VERIFY_INCREMENTAL") != nullptr;
 
   sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, bench::sierraLike(), procs);
@@ -57,7 +57,7 @@ RoundsOutcome runRounds(std::int32_t procs, bool incremental) {
   out.rounds = tool.roundHistory();
   out.gatherSavedBytes =
       tool.metrics().counter("tool/gather_saved_bytes").value();
-  out.divergences = tool.verifyDivergences();
+  out.divergences = tool.divergences();
   out.deadlock = tool.deadlockFound();
   return out;
 }

@@ -176,19 +176,17 @@ Outcome runDistributedOracle(const Scenario& scenario,
   must::ToolConfig cfg = toolConfigFor(scenario);
   cfg.batchWaitState = options.batch;
   cfg.injectBug = options.injectBug;
+  // The in-tool referee: every round is also checked against its reference
+  // (Outcome::divergences) — the full rebuild + cold check, and under the
+  // hierarchical check the raw gather and root check too.
+  cfg.verify = true;
+  cfg.hierarchicalCheck = options.hierarchical;
   if (options.hybrid) {
     certificate = analysis::analyzeProgram(programFromScenario(scenario));
     cfg.certificate = &certificate;
     // Sampling must stay invisible to the application schedule, like every
     // other oracle overhead knob.
     cfg.sampledEventCost = 0;
-  }
-  if (options.hierarchical) {
-    // Differential guard inside the tool: the condensed in-tree check runs
-    // next to the raw root check every detection round and divergences are
-    // counted (surfaced below as Outcome::hierDivergences).
-    cfg.hierarchicalCheck = true;
-    cfg.verifyHierarchical = true;
   }
   if (scenario.crash.enabled) {
     // Map the abstract victim index onto an eligible inner node of the
@@ -226,25 +224,24 @@ Outcome runDistributedOracle(const Scenario& scenario,
 
   must::DistributedTool tool(engine, runtime, cfg);
   runtime.runToCompletion(scenarioProgram(sc));
+  return observe(tool, engine);
+}
 
+Outcome observe(const must::DistributedTool& tool,
+                const sim::Scheduler& engine) {
+  const wfg::WaitForGraph graph = tool.terminalGraph();
   Outcome out;
-  out.state.resize(static_cast<std::size_t>(scenario.procs), 0);
-  out.blocked.resize(static_cast<std::size_t>(scenario.procs), false);
-  out.finished.resize(static_cast<std::size_t>(scenario.procs), false);
-  wfg::WaitForGraph graph(scenario.procs);
-  for (trace::ProcId p = 0; p < scenario.procs; ++p) {
+  for (trace::ProcId p = 0; p < graph.procCount(); ++p) {
     const auto& tracker = tool.tracker(tool.topology().nodeOfProc(p));
-    out.state[static_cast<std::size_t>(p)] = tracker.current(p);
-    out.blocked[static_cast<std::size_t>(p)] =
-        tracker.waitConditions(p).blocked;
-    out.finished[static_cast<std::size_t>(p)] = tracker.finishedProc(p);
-    graph.setNode(tracker.waitConditions(p));
+    out.state.push_back(tracker.current(p));
+    // Pruning drops clauses only, so the blocked flag is the tracker's.
+    out.blocked.push_back(graph.node(p).blocked);
+    out.finished.push_back(tracker.finishedProc(p));
   }
-  graph.pruneCollectiveCoWaiters();
   fillFromGraph(out, graph);
   out.traceHash = engine.traceHash();
   out.faultStats = tool.overlay().faultStats();
-  out.hierDivergences = tool.hierarchicalDivergences();
+  out.divergences = tool.divergences();
   out.reported = tool.reportedDeadlocked();
   return out;
 }
@@ -274,9 +271,9 @@ std::string compareOutcomes(const Outcome& formal,
           p);
     }
   }
-  if (distributed.hierDivergences > 0) {
-    return support::format("hierarchical check diverged in %u round(s)",
-                           distributed.hierDivergences);
+  if (distributed.divergences > 0) {
+    return support::format("the in-tool verifier diverged in %u round(s)",
+                           distributed.divergences);
   }
   return {};
 }

@@ -14,6 +14,7 @@
 
 #include "fuzz/scenario.hpp"
 #include "must/serve.hpp"
+#include "must/tool.hpp"
 #include "tbon/overlay.hpp"
 #include "trace/op.hpp"
 
@@ -27,8 +28,9 @@ struct RunOptions {
   std::int32_t threads = 1;
   /// Enable wait-state message batching.
   bool batch = false;
-  /// Run the hierarchical (condensed) check next to the raw root check in
-  /// the distributed tool and surface any in-tool divergence.
+  /// Run the distributed tool with the hierarchical (condensed) check; the
+  /// verifier every distributed run arms then runs the raw root check next
+  /// to it.
   bool hierarchical = false;
   /// Hybrid static/dynamic mode: certify the scenario with the static
   /// classifier (fuzz/analyze.cpp) and hand the certificate to the tool, so
@@ -57,9 +59,9 @@ struct Outcome {
   std::string wfg;
   std::uint64_t traceHash = 0;
   tbon::FaultStats faultStats{};
-  /// Detection rounds where the tool's hierarchical check disagreed with
-  /// its raw root check (RunOptions::hierarchical only; must stay 0).
-  std::uint32_t hierDivergences = 0;
+  /// Distributed side only: detection rounds where the tool's verifier
+  /// (ToolConfig::verify) saw a reference check disagree; must stay 0.
+  std::uint32_t divergences = 0;
 
   /// One-line digest for divergence reports.
   std::string summary() const;
@@ -77,6 +79,13 @@ Outcome runFormalOracle(const Scenario& scenario);
 /// Full distributed tool run.
 Outcome runDistributedOracle(const Scenario& scenario,
                              const RunOptions& options);
+
+/// The distributed side's observation of a finished run: the terminal
+/// graph's verdict, state and sets, every round's reported set, the
+/// verifier's divergences and the engine's trace hash. Call after
+/// engine.run() returned.
+Outcome observe(const must::DistributedTool& tool,
+                const sim::Scheduler& engine);
 
 /// Empty string = agreement; otherwise a human-readable description of the
 /// first difference found.

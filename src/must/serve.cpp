@@ -18,7 +18,7 @@ namespace {
 /// reads session-local state only, so it is byte-identical regardless of
 /// how the engine was driven to completion.
 void collectTerminal(SessionResult& result, sim::ParallelEngine& engine,
-                     mpi::Runtime& runtime, DistributedTool& tool) {
+                     DistributedTool& tool) {
   result.completed = true;
   result.deadlock = tool.deadlockFound();
   result.detections = tool.detectionsRun();
@@ -29,12 +29,7 @@ void collectTerminal(SessionResult& result, sim::ParallelEngine& engine,
 
   // Canonical DOT of the terminal wait-for graph, rebuilt from the trackers
   // (deterministic: tracker state is part of the verdict).
-  wfg::WaitForGraph graph(runtime.procCount());
-  for (trace::ProcId p = 0; p < runtime.procCount(); ++p) {
-    graph.setNode(
-        tool.tracker(tool.topology().nodeOfProc(p)).waitConditions(p));
-  }
-  graph.pruneCollectiveCoWaiters();
+  const wfg::WaitForGraph graph = tool.terminalGraph();
   const wfg::CheckResult check = graph.check();
   std::string dot;
   wfg::Report report = wfg::makeReport(
@@ -68,6 +63,21 @@ struct ServeServer::Session {
 ServeServer::ServeServer(Config config) : config_(config) {}
 ServeServer::~ServeServer() = default;
 
+std::string firstDifference(const SessionResult& a, const SessionResult& b) {
+  if (a.name != b.name) return "name";
+  if (a.completed != b.completed) return "completed";
+  if (a.evicted != b.evicted) return "evicted";
+  if (a.deadlock != b.deadlock) return "verdict";
+  if (a.detections != b.detections) return "detections";
+  if (a.completionTime != b.completionTime) return "completion time";
+  if (a.traceHash != b.traceHash) return "trace hash";
+  if (a.eventsExecuted != b.eventsExecuted) return "events executed";
+  if (a.metricsJson != b.metricsJson) return "metrics JSON";
+  if (a.dot != b.dot) return "DOT";
+  if (a.summary != b.summary) return "summary";
+  return {};
+}
+
 SessionResult runSessionSolo(const SessionSpec& spec) {
   sim::ParallelEngine engine;
   mpi::Runtime runtime(engine, spec.mpiConfig, spec.procs);
@@ -75,7 +85,7 @@ SessionResult runSessionSolo(const SessionSpec& spec) {
   runtime.runToCompletion(spec.program);
   SessionResult result;
   result.name = spec.name;
-  collectTerminal(result, engine, runtime, tool);
+  collectTerminal(result, engine, tool);
   return result;
 }
 
@@ -113,7 +123,7 @@ void ServeServer::finishSession(Session& s, bool evict) {
     s.result.metricsJson = s.tool.metricsJson();
     ++evicted_;
   } else {
-    collectTerminal(s.result, s.engine, s.runtime, s.tool);
+    collectTerminal(s.result, s.engine, s.tool);
     ++completed_;
   }
   if (s.result.deadlock) ++deadlocks_;
@@ -201,17 +211,6 @@ std::string ServeServer::statusJson() const {
         r.detections, static_cast<long long>(r.completionTime),
         static_cast<unsigned long long>(r.eventsExecuted),
         static_cast<unsigned long long>(r.rounds));
-    first = false;
-  }
-  for (const auto& s : active_) {
-    out += first ? "{\"name\": \"" : ", {\"name\": \"";
-    support::appendJsonEscaped(out, s->spec.name);
-    out += support::format(
-        "\", \"state\": \"active\", \"time_ns\": %lld, "
-        "\"events\": %llu, \"rounds\": %llu}",
-        static_cast<long long>(s->engine.now()),
-        static_cast<unsigned long long>(s->engine.eventsExecuted()),
-        static_cast<unsigned long long>(s->result.rounds));
     first = false;
   }
   out += "]}";

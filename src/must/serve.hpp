@@ -56,6 +56,12 @@ struct SessionResult {
 /// the serve path's parity guarantee).
 SessionResult runSessionSolo(const SessionSpec& spec);
 
+/// The first field in which two results of the same session differ, named
+/// for a diagnostic ("verdict", "DOT", ...), or empty when they agree. Every
+/// field but `rounds` is compared: a session's slice count depends on how it
+/// was driven (a solo run has none).
+std::string firstDifference(const SessionResult& a, const SessionResult& b);
+
 class ServeServer {
  public:
   struct Config {
@@ -97,7 +103,9 @@ class ServeServer {
   std::uint64_t roundsRun() const { return roundsRun_; }
 
   /// Sessions table + serve counters, in the status-endpoint style of the
-  /// tool's statusJson (schema wst-serve-v1).
+  /// tool's statusJson (schema wst-serve-v1). Call it outside run(), where
+  /// every session is queued or finished: the rows are the finished sessions
+  /// and "active" is 0.
   std::string statusJson() const;
 
  private:

@@ -197,6 +197,26 @@ struct DistributedTool::NodeState : waitstate::Comms {
     return it->second;
   }
 
+  /// Append hosted process `p`'s §3.3 facts (its active sends and active
+  /// wildcard receives) to a wait-info reply.
+  void appendActiveFacts(ProcId p, std::vector<ActiveSendInfo>& sendsOut,
+                         std::vector<ActiveWildcardInfo>& wildcardsOut) {
+    factSends.clear();
+    tracker->appendActiveSends(p, factSends);
+    for (const auto& s : factSends) {
+      sendsOut.push_back(ActiveSendInfo{s.op, s.dest, s.tag, s.comm});
+    }
+    factWildcards.clear();
+    tracker->appendActiveWildcards(p, factWildcards);
+    for (const auto& w : factWildcards) {
+      wildcardsOut.push_back(
+          ActiveWildcardInfo{w.op, w.tag, w.comm, w.matched, w.matchedSend});
+    }
+  }
+  // Scratch of appendActiveFacts, kept so a reply reuses one allocation.
+  std::vector<waitstate::DistributedTracker::ActiveSend> factSends;
+  std::vector<waitstate::DistributedTracker::ActiveWildcard> factWildcards;
+
   NodeState(DistributedTool& t, NodeId nodeId) : tool(t), id(nodeId) {
     trace = tool.nodeTrack(nodeId);
     const tbon::NodeInfo& info = tool.topology_.node(nodeId);
@@ -450,6 +470,15 @@ const waitstate::DistributedTracker& DistributedTool::tracker(
   return *nodes_[static_cast<std::size_t>(node)]->tracker;
 }
 
+wfg::WaitForGraph DistributedTool::terminalGraph() const {
+  wfg::WaitForGraph graph(runtime_.procCount());
+  for (ProcId p = 0; p < runtime_.procCount(); ++p) {
+    graph.setNode(tracker(topology_.nodeOfProc(p)).waitConditions(p));
+  }
+  graph.pruneCollectiveCoWaiters();
+  return graph;
+}
+
 bool DistributedTool::analysisFinished() const {
   for (NodeId n = 0; n < topology_.firstLayerCount(); ++n) {
     if (!nodes_[static_cast<std::size_t>(n)]->tracker->allFinished()) {
@@ -500,9 +529,7 @@ void DistributedTool::refreshDerivedMetrics() {
   metrics_.gauge("tool/detections")
       .set(static_cast<std::int64_t>(detectionsRun()));
   metrics_.gauge("tool/verify_divergences")
-      .set(static_cast<std::int64_t>(verifyDivergences_));
-  metrics_.gauge("tool/hierarchical_divergences")
-      .set(static_cast<std::int64_t>(hierarchicalDivergences_));
+      .set(static_cast<std::int64_t>(divergences_));
   if (!roundStats_.empty()) {
     const RoundStats& last = roundStats_.back();
     if (last.hierarchical) {
@@ -886,10 +913,8 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
             // mid-sync (the new round's cut would be unsound).
             if (m.epoch != ns.epoch) return;
             const tbon::NodeInfo& topo = topology_.node(node);
-            std::vector<waitstate::DistributedTracker::ActiveSend> sends;
-            std::vector<waitstate::DistributedTracker::ActiveWildcard> wilds;
             std::int64_t reported = 0;
-            if (hierPathActive()) {
+            if (config_.hierarchicalCheck) {
               // Condensed reply (hierarchical check): condense the full,
               // pristine conditions of every hosted process — the fixpoint
               // resolves subtree-local fates right here and only the
@@ -905,23 +930,8 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
                 if (conds.back().finished) ++cmsg.wait.finishedCount;
                 if (!rawPathActive()) {
                   // Pure mode: the §3.3 facts ride the condensed message.
-                  sends.clear();
-                  ns.tracker->appendActiveSends(p, sends);
-                  for (const auto& s : sends) {
-                    cmsg.activeSends.push_back(
-                        ActiveSendInfo{s.op, s.dest, s.tag, s.comm});
-                  }
-                  wilds.clear();
-                  ns.tracker->appendActiveWildcards(p, wilds);
-                  for (const auto& w : wilds) {
-                    ActiveWildcardInfo wi;
-                    wi.op = w.op;
-                    wi.tag = w.tag;
-                    wi.comm = w.comm;
-                    wi.matched = w.matched;
-                    wi.matchedSend = w.matchedSend;
-                    cmsg.activeWildcards.push_back(wi);
-                  }
+                  ns.appendActiveFacts(p, cmsg.activeSends,
+                                       cmsg.activeWildcards);
                 }
               }
               cmsg.wait.cond =
@@ -959,23 +969,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
                 wfg::NodeConditions cond = ns.tracker->waitConditions(p);
                 ns.lastCondBytes[local] = conditionBytes(cond);
                 info.conditions.push_back(std::move(cond));
-                sends.clear();
-                ns.tracker->appendActiveSends(p, sends);
-                for (const auto& s : sends) {
-                  info.activeSends.push_back(
-                      ActiveSendInfo{s.op, s.dest, s.tag, s.comm});
-                }
-                wilds.clear();
-                ns.tracker->appendActiveWildcards(p, wilds);
-                for (const auto& w : wilds) {
-                  ActiveWildcardInfo wi;
-                  wi.op = w.op;
-                  wi.tag = w.tag;
-                  wi.comm = w.comm;
-                  wi.matched = w.matched;
-                  wi.matchedSend = w.matchedSend;
-                  info.activeWildcards.push_back(wi);
-                }
+                ns.appendActiveFacts(p, info.activeSends, info.activeWildcards);
                 ns.tracker->markReported(p);
               }
               ns.lastReplyEpoch = m.epoch;
@@ -1614,7 +1608,7 @@ void DistributedTool::maybeFinishDetection() {
           static_cast<std::uint32_t>(runtime_.procCount())) {
     return;
   }
-  if (hierPathActive() &&
+  if (config_.hierarchicalCheck &&
       rootCondensations_.size() != expectedCondensedAtRoot()) {
     return;
   }
@@ -1660,44 +1654,10 @@ void DistributedTool::finishDetection() {
   report.incremental.seedReleased = round.seedReleased;
   report.incremental.gatherBytesSaved = gatherSavedBytes_->value();
 
-  if (config_.verifyIncremental) {
-    // Side-by-side reference: full rebuild + cold check over the same
-    // pristine conditions must agree in verdict, deadlock set, cycle, and
-    // DOT rendering.
-    wfg::WaitForGraph full = incremental_->buildFullGraph();
-    const wfg::CheckResult cold = full.check();
-    const bool agree =
-        cold.deadlock == round.check.deadlock &&
-        cold.deadlocked == round.check.deadlocked &&
-        cold.cycle == round.check.cycle &&
-        full.toDot(cold.deadlocked) ==
-            incremental_->graph().toDot(round.check.deadlocked);
-    if (!agree) ++verifyDivergences_;
-  }
-
   std::optional<wfg::HierarchicalResult> hier;
-  if (hierPathActive()) {
-    hier.emplace(resolveHierarchical());
-    if (config_.verifyHierarchical) {
-      // The condensed path must reproduce the raw root check exactly:
-      // verdict, deadlocked set, the released bitmap (complement of the
-      // deadlocked set over all processes), and the finished count summed
-      // up the tree.
-      bool agree = hier->deadlock == round.check.deadlock &&
-                   hier->deadlocked == round.check.deadlocked &&
-                   rootCondFinished_ == incremental_->finishedCount();
-      if (agree) {
-        for (ProcId p = 0; p < runtime_.procCount(); ++p) {
-          const bool dead = std::binary_search(round.check.deadlocked.begin(),
-                                               round.check.deadlocked.end(), p);
-          if (hier->released[static_cast<std::size_t>(p)] == dead) {
-            agree = false;
-            break;
-          }
-        }
-      }
-      if (!agree) ++hierarchicalDivergences_;
-    }
+  if (config_.hierarchicalCheck) hier.emplace(resolveHierarchical());
+  if (config_.verify && !roundAgreesWithReferences(round.check, hier)) {
+    ++divergences_;
   }
 
   noteReported(round.check.deadlocked);
@@ -1744,6 +1704,36 @@ void DistributedTool::finishDetection() {
     rootTrack_->spanEnd("detection", "detect", "changed",
                         static_cast<std::int64_t>(gatheredProcs_));
   }
+}
+
+bool DistributedTool::roundAgreesWithReferences(
+    const wfg::CheckResult& check,
+    const std::optional<wfg::HierarchicalResult>& hier) const {
+  // The full rebuild + cold check over the same pristine conditions must
+  // agree in verdict, deadlock set, cycle, and DOT rendering.
+  const wfg::WaitForGraph full = incremental_->buildFullGraph();
+  const wfg::CheckResult cold = full.check();
+  if (cold.deadlock != check.deadlock || cold.deadlocked != check.deadlocked ||
+      cold.cycle != check.cycle ||
+      full.toDot(cold.deadlocked) !=
+          incremental_->graph().toDot(check.deadlocked)) {
+    return false;
+  }
+  if (!hier) return true;
+  // The condensed path must reproduce the raw root check exactly: verdict,
+  // deadlocked set, the released bitmap (complement of the deadlocked set
+  // over all processes), and the finished count summed up the tree.
+  if (hier->deadlock != check.deadlock ||
+      hier->deadlocked != check.deadlocked ||
+      rootCondFinished_ != incremental_->finishedCount()) {
+    return false;
+  }
+  for (ProcId p = 0; p < runtime_.procCount(); ++p) {
+    const bool dead = std::binary_search(check.deadlocked.begin(),
+                                         check.deadlocked.end(), p);
+    if (hier->released[static_cast<std::size_t>(p)] == dead) return false;
+  }
+  return true;
 }
 
 void DistributedTool::runUnexpectedMatchCheck() {

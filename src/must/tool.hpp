@@ -133,9 +133,6 @@ struct ToolConfig {
   /// unchanged count), and the root applies the delta to a persistent
   /// wait-for graph. Off = every round gathers and rebuilds everything.
   bool incrementalGather = true;
-  /// Run the full rebuild + cold check next to every incremental round and
-  /// count divergences in verdict, deadlock set, or DOT output.
-  bool verifyIncremental = false;
 
   // --- Hierarchical in-tree check (DESIGN.md §13) ----------------------------
 
@@ -147,11 +144,17 @@ struct ToolConfig {
   /// deadlock a detail phase re-fetches only the deadlocked processes'
   /// conditions to reconstruct the DOT/cycle report.
   bool hierarchicalCheck = false;
-  /// Run the hierarchical check next to the raw-gather root check and count
-  /// divergences in verdict, deadlocked set, released set, or finished
-  /// count. Implies the condensed path runs even if hierarchicalCheck is
-  /// off (the raw path then still produces the report).
-  bool verifyHierarchical = false;
+
+  // --- Verification ----------------------------------------------------------
+
+  /// Check every detection round against the reference of each mode that is
+  /// on, and count the rounds that disagree (DistributedTool::divergences):
+  /// always the full rebuild + cold check next to the incremental check
+  /// (verdict, deadlock set, cycle, DOT), a root-side computation; with
+  /// hierarchicalCheck also the raw gather and root check next to the
+  /// condensed check (verdict, deadlocked and released sets, finished
+  /// count), and the raw path then produces the report.
+  bool verify = false;
 
   // --- Hybrid static/dynamic mode (DESIGN.md §15) ----------------------------
 
@@ -290,20 +293,20 @@ class DistributedTool : public mpi::Interposer {
   };
   const std::vector<RoundStats>& roundHistory() const { return roundStats_; }
 
-  /// Rounds where the side-by-side full check disagreed with the
-  /// incremental one (only counted with ToolConfig::verifyIncremental).
-  std::uint32_t verifyDivergences() const { return verifyDivergences_; }
+  /// Rounds where a reference check disagreed with the round's own check
+  /// (only counted with ToolConfig::verify).
+  std::uint32_t divergences() const { return divergences_; }
 
-  /// Rounds where the hierarchical (condensed) check disagreed with the
-  /// raw root check (only counted with ToolConfig::verifyHierarchical).
-  std::uint32_t hierarchicalDivergences() const {
-    return hierarchicalDivergences_;
-  }
+  /// The terminal wait-for graph: every tracker's current conditions, with
+  /// collective co-waiters pruned as the root check prunes them. Reads the
+  /// trackers, so call it only after engine.run() returned.
+  wfg::WaitForGraph terminalGraph() const;
 
   // --- Introspection ---------------------------------------------------------
 
   const tbon::Topology& topology() const { return topology_; }
   tbon::Overlay<ToolMsg>& overlay() { return *overlay_; }
+  const tbon::Overlay<ToolMsg>& overlay() const { return *overlay_; }
   const waitstate::DistributedTracker& tracker(tbon::NodeId node) const;
   bool analysisFinished() const;  // every tracker finished every rank
   std::uint64_t totalTransitions() const;
@@ -410,11 +413,8 @@ class DistributedTool : public mpi::Interposer {
   void finishDetection();
 
   // Hierarchical check (DESIGN.md §13).
-  bool hierPathActive() const {
-    return config_.hierarchicalCheck || config_.verifyHierarchical;
-  }
   bool rawPathActive() const {
-    return !config_.hierarchicalCheck || config_.verifyHierarchical;
+    return !config_.hierarchicalCheck || config_.verify;
   }
   std::uint32_t expectedCondensedAtRoot() const;
   void handleCondensedAtRoot(CondensedWaitInfoMsg&& msg);
@@ -433,6 +433,11 @@ class DistributedTool : public mpi::Interposer {
   void completeHierarchicalRound(wfg::WaitForGraph&& detailGraph);
   /// Merge one check's deadlocked set (sorted) into reportedDeadlocked_.
   void noteReported(const std::vector<trace::ProcId>& deadlocked);
+  /// The verify mode's check of one raw round: the full rebuild + cold check
+  /// and, when the condensed path ran, its result must both agree with it.
+  bool roundAgreesWithReferences(
+      const wfg::CheckResult& check,
+      const std::optional<wfg::HierarchicalResult>& hier) const;
   void runUnexpectedMatchCheck();
   void onQuiescence();
   void onPeriodic();
@@ -593,7 +598,7 @@ class DistributedTool : public mpi::Interposer {
   /// Jitters the periodic detection timer; only ever touched on the root
   /// LP, so the draw order (and thus the schedule) is deterministic.
   support::Rng periodicRng_{1};
-  std::uint32_t verifyDivergences_ = 0;
+  std::uint32_t divergences_ = 0;
   std::vector<RoundStats> roundStats_;
 
   // Hierarchical check state (root).
@@ -602,7 +607,6 @@ class DistributedTool : public mpi::Interposer {
   std::optional<wfg::HierarchicalResult> pendingHier_;
   std::vector<wfg::NodeConditions> detailConds_;
   std::uint32_t detailMsgsAtRoot_ = 0;
-  std::uint32_t hierarchicalDivergences_ = 0;
 
   // Hybrid sampling state: per-rank watermark (from the certificate) and
   // suppressed-record count; the resync fires when the count reaches the

@@ -156,7 +156,7 @@ TEST(FuzzRegression, CorpusReplaysWithoutDivergenceUnderHierarchicalCheck) {
     options.hierarchical = true;
     const Outcome distributed = runDistributedOracle(scenario, options);
     EXPECT_EQ(compareOutcomes(formal, distributed), "") << file;
-    EXPECT_EQ(distributed.hierDivergences, 0u) << file;
+    EXPECT_EQ(distributed.divergences, 0u) << file;
   }
 }
 

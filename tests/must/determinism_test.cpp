@@ -57,14 +57,8 @@ RunOutput runScenario(std::int32_t threads, std::int32_t procs,
   out.events = engine.eventsExecuted();
   out.completionTime = engine.now();
   if (tool.deadlockFound()) {
-    wfg::WaitForGraph graph(procs);
-    for (trace::ProcId p = 0; p < procs; ++p) {
-      graph.setNode(
-          tool.tracker(tool.topology().nodeOfProc(p)).waitConditions(p));
-    }
-    graph.pruneCollectiveCoWaiters();
-    graph.writeDot([&](std::string_view s) { out.dot += s; },
-                   tool.report()->check.deadlocked);
+    tool.terminalGraph().writeDot([&](std::string_view s) { out.dot += s; },
+                                  tool.report()->check.deadlocked);
   }
   return out;
 }
@@ -134,6 +128,29 @@ TEST(ParallelDeterminism, WildcardDeadlockIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelDeterminism, HierarchicalCheckIsByteIdenticalAcrossThreadCounts) {
+  // The in-tree check's condensed replies, boundary resolution and
+  // deadlock-detail phase run on the same engine: their trace, the metrics
+  // (boundary gauges and telemetry overhead buckets included) and the DOT
+  // must not depend on the worker count either.
+  const auto program = workloads::wildcardDeadlock();
+  const mpi::RuntimeConfig mpiCfg;
+  ToolConfig toolCfg;
+  toolCfg.fanIn = 2;
+  toolCfg.hierarchicalCheck = true;
+  toolCfg.telemetry = true;
+
+  const RunOutput base = runScenario(1, 16, mpiCfg, toolCfg, program);
+  EXPECT_TRUE(base.deadlock);
+  EXPECT_NE(base.metricsJson.find("tool/last_round/boundary_nodes"),
+            std::string::npos);
+  EXPECT_NE(base.traceJson.find("boundaryCheck"), std::string::npos);
+  for (const std::int32_t threads : {2, 4}) {
+    expectIdentical(base, runScenario(threads, 16, mpiCfg, toolCfg, program),
+                    threads);
+  }
+}
+
 TEST(ParallelDeterminism, PeriodicDetectionIsByteIdenticalAcrossThreadCounts) {
   // Periodic detection now runs on the root node's LP (no cross-LP reads),
   // so multi-round incremental detection must stay byte-identical for any
@@ -147,7 +164,7 @@ TEST(ParallelDeterminism, PeriodicDetectionIsByteIdenticalAcrossThreadCounts) {
   ToolConfig toolCfg;
   toolCfg.fanIn = 4;
   toolCfg.periodicDetection = 100 * sim::kMicrosecond;
-  toolCfg.verifyIncremental = true;
+  toolCfg.verify = true;
 
   const RunOutput base = runScenario(1, 16, mpiCfg, toolCfg, program);
   EXPECT_FALSE(base.deadlock);
@@ -168,7 +185,7 @@ TEST(ParallelDeterminism, PeriodicBatchedStressIsByteIdenticalAcrossThreads) {
   toolCfg.fanIn = 2;
   toolCfg.batchWaitState = true;
   toolCfg.periodicDetection = 150 * sim::kMicrosecond;
-  toolCfg.verifyIncremental = true;
+  toolCfg.verify = true;
 
   const RunOutput base = runScenario(1, 8, mpiCfg, toolCfg, program);
   for (const std::int32_t threads : {2, 4}) {

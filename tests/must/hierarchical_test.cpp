@@ -22,7 +22,7 @@ struct ToolRun {
   std::string dot;
   std::vector<trace::ProcId> deadlocked;
   std::uint32_t detections = 0;
-  std::uint32_t hierDivergences = 0;
+  std::uint32_t divergences = 0;
   std::vector<DistributedTool::RoundStats> rounds;
   std::uint64_t reportedArcs = 0;
 };
@@ -38,7 +38,7 @@ ToolRun runTool(std::int32_t procs, const ToolConfig& toolCfg,
   out.deadlock = tool.deadlockFound();
   out.summary = tool.report() ? tool.report()->summary : "none";
   out.detections = tool.detectionsRun();
-  out.hierDivergences = tool.hierarchicalDivergences();
+  out.divergences = tool.divergences();
   out.rounds = tool.roundHistory();
   if (tool.report()) {
     out.deadlocked = tool.report()->check.deadlocked;
@@ -46,14 +46,8 @@ ToolRun runTool(std::int32_t procs, const ToolConfig& toolCfg,
     out.reportedArcs = tool.report()->check.arcCount;
   }
   if (tool.deadlockFound()) {
-    wfg::WaitForGraph graph(procs);
-    for (trace::ProcId p = 0; p < procs; ++p) {
-      graph.setNode(
-          tool.tracker(tool.topology().nodeOfProc(p)).waitConditions(p));
-    }
-    graph.pruneCollectiveCoWaiters();
-    graph.writeDot([&](std::string_view s) { out.dot += s; },
-                   tool.report()->check.deadlocked);
+    tool.terminalGraph().writeDot([&](std::string_view s) { out.dot += s; },
+                                  tool.report()->check.deadlocked);
   }
   return out;
 }
@@ -106,10 +100,11 @@ std::vector<Scenario> scenarios() {
 
 TEST(HierarchicalCheck, VerifierReportsZeroDivergencesEverywhere) {
   for (Scenario s : scenarios()) {
-    s.cfg.verifyHierarchical = true;
+    s.cfg.hierarchicalCheck = true;
+    s.cfg.verify = true;
     const ToolRun run = runTool(s.procs, s.cfg, s.program);
     EXPECT_EQ(run.deadlock, s.expectDeadlock) << s.name;
-    EXPECT_EQ(run.hierDivergences, 0u) << s.name;
+    EXPECT_EQ(run.divergences, 0u) << s.name;
     ASSERT_GE(run.rounds.size(), 1u) << s.name;
     // Every verified round carries the boundary statistics.
     for (const auto& r : run.rounds) {

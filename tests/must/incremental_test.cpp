@@ -42,20 +42,14 @@ ToolRun runTool(std::int32_t procs, const mpi::RuntimeConfig& mpiCfg,
   out.summary = tool.report() ? tool.report()->summary : "none";
   out.completionTime = engine.now();
   out.detections = tool.detectionsRun();
-  out.divergences = tool.verifyDivergences();
+  out.divergences = tool.divergences();
   out.rounds = tool.roundHistory();
   out.pingsSent = tool.metrics().counter("tool/pings_sent").value();
   out.gatherSavedBytes =
       tool.metrics().counter("tool/gather_saved_bytes").value();
   if (tool.deadlockFound()) {
-    wfg::WaitForGraph graph(procs);
-    for (trace::ProcId p = 0; p < procs; ++p) {
-      graph.setNode(
-          tool.tracker(tool.topology().nodeOfProc(p)).waitConditions(p));
-    }
-    graph.pruneCollectiveCoWaiters();
-    graph.writeDot([&](std::string_view s) { out.dot += s; },
-                   tool.report()->check.deadlocked);
+    tool.terminalGraph().writeDot([&](std::string_view s) { out.dot += s; },
+                                  tool.report()->check.deadlocked);
   }
   return out;
 }
@@ -89,7 +83,7 @@ TEST(IncrementalDetection, DeltaGatherElidesStableWaiters) {
   ToolConfig toolCfg;
   toolCfg.fanIn = 4;
   toolCfg.periodicDetection = 100 * sim::kMicrosecond;
-  toolCfg.verifyIncremental = true;
+  toolCfg.verify = true;
 
   const ToolRun run = runTool(16, mpiCfg, toolCfg, program);
   EXPECT_FALSE(run.deadlock);
@@ -182,7 +176,7 @@ TEST(IncrementalDetection, FullAndDeltaGatherRunsAreIdentical) {
     fullCfg.incrementalGather = false;
     ToolConfig incCfg = s.cfg;
     incCfg.incrementalGather = true;
-    incCfg.verifyIncremental = true;
+    incCfg.verify = true;
 
     const ToolRun full = runTool(s.procs, mpiCfg, fullCfg, s.program);
     const ToolRun inc = runTool(s.procs, mpiCfg, incCfg, s.program);
@@ -210,7 +204,7 @@ TEST(IncrementalDetection, EveryRoundPingsTheActiveSendPeer) {
   ToolConfig cfg;
   cfg.fanIn = 2;
   cfg.periodicDetection = 100 * sim::kMicrosecond;
-  cfg.verifyIncremental = true;
+  cfg.verify = true;
   const ToolRun run = runTool(4, mpi::RuntimeConfig{}, cfg, lateReceiver());
 
   // The late receiver holds rank 0's send active for ~2ms: many rounds.
@@ -230,7 +224,7 @@ TEST(IncrementalDetection, DeadlockVerdictAgreesWithVerifierOnFirstRound) {
   const mpi::RuntimeConfig mpiCfg;
   ToolConfig cfg;
   cfg.fanIn = 4;
-  cfg.verifyIncremental = true;
+  cfg.verify = true;
 
   const ToolRun run = runTool(12, mpiCfg, cfg, workloads::wildcardDeadlock());
   EXPECT_TRUE(run.deadlock);

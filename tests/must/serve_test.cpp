@@ -41,17 +41,7 @@ std::vector<SessionSpec> eightSessions() {
 
 void expectSameResult(const SessionResult& a, const SessionResult& b,
                       const std::string& context) {
-  EXPECT_EQ(a.name, b.name) << context;
-  EXPECT_EQ(a.completed, b.completed) << context;
-  EXPECT_EQ(a.evicted, b.evicted) << context;
-  EXPECT_EQ(a.deadlock, b.deadlock) << context;
-  EXPECT_EQ(a.detections, b.detections) << context;
-  EXPECT_EQ(a.completionTime, b.completionTime) << context;
-  EXPECT_EQ(a.traceHash, b.traceHash) << context;
-  EXPECT_EQ(a.eventsExecuted, b.eventsExecuted) << context;
-  EXPECT_EQ(a.metricsJson, b.metricsJson) << context;
-  EXPECT_EQ(a.dot, b.dot) << context;
-  EXPECT_EQ(a.summary, b.summary) << context;
+  EXPECT_EQ(firstDifference(a, b), "") << context;
 }
 
 TEST(Serve, EightSessionsMatchSoloRunsByteForByte) {

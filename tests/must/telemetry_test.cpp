@@ -10,12 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "must/harness.hpp"
 #include "must/telemetry.hpp"
 #include "support/metrics_timeline.hpp"
 #include "support/strings.hpp"
+#include "support/tracing.hpp"
 #include "workloads/stress.hpp"
 
 namespace wst::must {
@@ -177,6 +181,85 @@ TEST(Telemetry, BeatsDoNotChangeVerdictOrSchedule) {
   EXPECT_EQ(base.allFinalized, beaty.allFinalized);
   EXPECT_EQ(base.lastFinalize, beaty.lastFinalize);
   EXPECT_EQ(base.appCalls, beaty.appCalls);
+}
+
+/// One JSON object with balanced, properly nested brackets outside strings
+/// (a structural check; the values themselves are not validated).
+bool isOneJsonObject(const std::string& text) {
+  std::string closers;
+  bool inString = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (inString) {
+      if (c == '\\') ++i;
+      if (c == '"') inString = false;
+    } else if (c == '"') {
+      inString = true;
+    } else if (c == '{' || c == '[') {
+      closers.push_back(c == '{' ? '}' : ']');
+    } else if (c == '}' || c == ']') {
+      if (closers.empty() || closers.back() != c) return false;
+      closers.pop_back();
+      if (closers.empty()) return i + 1 == text.size();
+    }
+  }
+  return false;
+}
+
+TEST(Telemetry, DeadlockReportAndStatusFileCarryTheTelemetryPlane) {
+  // A traced wildcard deadlock with fast health beats and a status file, as
+  // `wst run --beat-interval-ms 0.05 --status-out PATH --html PATH
+  // --trace-out PATH --trace-depth 16` runs it: the report gains the
+  // telemetry section, and the status file holds the final document.
+  constexpr std::int32_t kProcs = 32;
+  sim::ParallelEngine engine;
+  support::Tracer::Config traceCfg;
+  traceCfg.capacityPerTrack = 16;
+  traceCfg.clock = [&engine] {
+    return static_cast<std::uint64_t>(engine.now());
+  };
+  support::Tracer tracer(traceCfg);
+  engine.setTraceTrack(tracer.track(support::TrackKind::kEngine, 0, "engine"));
+  ToolConfig cfg;
+  cfg.telemetry = true;
+  cfg.healthBeatInterval = 50'000;
+  cfg.tracer = &tracer;
+  mpi::Runtime runtime(engine, mpi::RuntimeConfig{}, kProcs);
+  runtime.setTracer(&tracer);
+  DistributedTool tool(engine, runtime, cfg);
+  const std::string path =
+      ::testing::TempDir() + "wst-telemetry-report-status.json";
+  std::filesystem::remove(path);
+  StatusWriter::Config swCfg;
+  swCfg.path = path;
+  StatusWriter writer(engine, tool, swCfg);
+  writer.start();
+  runtime.runToCompletion(workloads::wildcardDeadlock());
+  tool.attachTelemetryToReport();
+  tool.finalizeTelemetry();
+  writer.writeFinal();
+
+  ASSERT_TRUE(tool.deadlockFound());
+  const std::string& html = tool.report()->html;
+  EXPECT_NE(html.find("Telemetry"), std::string::npos);
+  EXPECT_NE(html.find(support::format(
+                "<tr><td>Dropped trace events</td><td>%s</td></tr>",
+                support::withCommas(tracer.totalDropped()).c_str())),
+            std::string::npos);
+  EXPECT_NE(html.find("Fleet health (beat interval 50,000 ns)"),
+            std::string::npos);
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), writer.lastStatusJson());
+  EXPECT_TRUE(isOneJsonObject(text.str())) << text.str();
+  EXPECT_EQ(text.str().rfind("{\"schema\": \"wst-status-v1\"", 0), 0u);
+  EXPECT_TRUE(std::filesystem::exists(path + ".prom"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".prom");
 }
 
 }  // namespace

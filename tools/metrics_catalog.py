@@ -111,8 +111,6 @@ DESCRIPTIONS = {
     "tool/detections": "Detection rounds that reported a deadlock.",
     "tool/gather_saved_bytes": "Bytes the delta-gather avoided sending"
         " versus full snapshots.",
-    "tool/hierarchical_divergences": "Disagreements between the in-tree"
-        " check and the root check (must stay 0).",
     "tool/last_round/boundary_arcs": "Boundary arcs the root saw in the"
         " most recent hierarchical round.",
     "tool/last_round/boundary_nodes": "Boundary nodes the root saw in the"
@@ -134,8 +132,9 @@ DESCRIPTIONS = {
     "tool/pings_sent": "Timestamp pings sent for round synchronization.",
     "tool/transitions": "Wait-state transitions applied across all"
         " trackers.",
-    "tool/verify_divergences": "Plain-vs-incremental verification"
-        " differences (must stay 0).",
+    "tool/verify_divergences": "Detection rounds the verifier"
+        " (ToolConfig::verify) found disagreeing with a reference check"
+        " (must stay 0).",
     "tool/waitinfo_fanin": "Children merged per wait-state fan-in at a"
         " tool node.",
     "tool/waitinfo_merge_saved_bytes": "Bytes saved by merging wait-state"

@@ -14,8 +14,7 @@
 //   wst serve --sessions 16 --threads 4 --status-out /tmp/serve.json
 //
 // Exit code: 0 = clean run, 2 = deadlock reported, 1 = usage error,
-// 3 = divergence found by --verify-incremental, --verify-hierarchical,
-// --verify-hybrid, serve --verify-solo or the fuzz oracle.
+// 3 = divergence found by run --verify, serve --verify or the fuzz oracle.
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
@@ -69,12 +68,9 @@ struct Options {
   bool engineStats = false;   // print engine round statistics
   sim::Duration periodic = 0;
   bool noIncremental = false;  // full gather + cold check every round
-  bool verifyIncremental = false;  // side-by-side full check each round
   bool hierarchicalCheck = false;  // in-tree condensed check replaces gather
-  bool verifyHierarchical = false;  // condensed check next to the raw check
   bool hybrid = false;         // static certificate + sampled tracking
-  bool verifyHybrid = false;   // dual run, plain vs hybrid; exit 3 on any
-                               // divergence in verdict/deadlocked/state
+  bool verify = false;  // check each round (and --hybrid) against a reference
   std::string dotPath;
   std::string compressedDotPath;
   std::string htmlPath;
@@ -129,24 +125,22 @@ void printUsage() {
       "  --periodic-ms X          periodic detection every X virtual ms\n"
       "  --no-incremental         full wait-info gather + cold deadlock check\n"
       "                           every round (incremental is the default)\n"
-      "  --verify-incremental     run the full rebuild + cold check next to\n"
-      "                           every incremental round; exit 3 on any\n"
-      "                           divergence in verdict/deadlock set/DOT\n"
       "  --hierarchical-check     run the deadlock check inside the tree:\n"
       "                           subtrees resolve local fates and forward\n"
       "                           boundary condensations; the root checks\n"
       "                           boundary nodes only (replaces the raw\n"
       "                           wait-info gather)\n"
-      "  --verify-hierarchical    run the condensed in-tree check next to\n"
-      "                           the raw root check; exit 3 on any\n"
-      "                           divergence in verdict/deadlocked/released\n"
       "  --hybrid                 certify the workload's deterministic phases\n"
       "                           with the static classifier (one tool-free\n"
       "                           profiling run) and sample instead of track\n"
       "                           inside the certified prefix\n"
-      "  --verify-hybrid          run the tool twice, plain and hybrid, and\n"
-      "                           compare verdict, deadlocked set, and the\n"
-      "                           terminal per-rank state; exit 3 on any\n"
+      "  --verify                 check every detection round against its\n"
+      "                           reference: the full rebuild + cold check\n"
+      "                           next to the incremental check, and with\n"
+      "                           --hierarchical-check the raw root check\n"
+      "                           next to the condensed one; with --hybrid\n"
+      "                           also rerun without the certificate and\n"
+      "                           compare the two outcomes. Exit 3 on any\n"
       "                           divergence\n"
       "  --compare                also run an untooled reference (slowdown)\n"
       "  --dot PATH               write the deadlock wait-for graph as DOT\n"
@@ -186,8 +180,9 @@ void printUsage() {
       "                           runs (default 1)\n"
       "  --batch                  enable wait-state batching in the tool\n"
       "  --hierarchical           run every distributed check with the\n"
-      "                           hierarchical in-tree path and its in-tool\n"
-      "                           differential guard\n"
+      "                           hierarchical in-tree path; the in-tool\n"
+      "                           verifier of every fuzz run checks it\n"
+      "                           against the raw root check\n"
       "  --hybrid                 certify each scenario statically and run\n"
       "                           the distributed side in hybrid sampling\n"
       "                           mode (verdicts must not change)\n"
@@ -225,11 +220,12 @@ void printUsage() {
       "  --status-out PATH        write the final status JSON document\n"
       "                           (schema wst-serve-v1, sessions table +\n"
       "                           serve counters)\n"
-      "  --verify-solo            also run every session alone and require\n"
-      "                           byte-identical verdict/metrics/DOT/trace\n"
+      "  --verify                 also run every session alone and require\n"
+      "                           byte-identical results (verdict, events,\n"
+      "                           metrics, DOT, trace hash, ...)\n"
       "\n"
       "  serve exit code: 0 = all sessions clean, 2 = deadlock verdict(s),\n"
-      "  3 = --verify-solo parity mismatch\n");
+      "  3 = --verify parity mismatch\n");
 }
 
 /// The one parser behind every numeric flag: the whole of `text` must spell
@@ -403,7 +399,7 @@ int runServe(int argc, char** argv) {
   std::int32_t sessions = 8;
   std::uint64_t seed = 1;
   std::string statusOut;
-  bool verifySolo = false;
+  bool verify = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
@@ -425,8 +421,8 @@ int runServe(int argc, char** argv) {
       cfg.sliceEvents = parseNumber<std::uint64_t>(arg, value(), 1);
     } else if (arg == "--status-out") {
       statusOut = value();
-    } else if (arg == "--verify-solo") {
-      verifySolo = true;
+    } else if (arg == "--verify") {
+      verify = true;
     } else if (arg == "--help" || arg == "-h") {
       printUsage();
       return 0;
@@ -469,24 +465,17 @@ int runServe(int argc, char** argv) {
     out << server.statusJson();
   }
 
-  if (verifySolo) {
+  if (verify) {
     std::int32_t mismatches = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const must::SessionResult solo = must::runSessionSolo(specs[i]);
       const must::SessionResult& served = server.results()[i];
-      const auto differs = [&](const char* what) {
+      const std::string field =
+          must::firstDifference(served, must::runSessionSolo(specs[i]));
+      if (!field.empty()) {
         std::fprintf(stderr, "serve: PARITY MISMATCH %s: %s\n",
-                     served.name.c_str(), what);
+                     served.name.c_str(), field.c_str());
         ++mismatches;
-      };
-      if (solo.deadlock != served.deadlock) differs("verdict");
-      else if (solo.detections != served.detections) differs("detections");
-      else if (solo.completionTime != served.completionTime) {
-        differs("completion time");
-      } else if (solo.traceHash != served.traceHash) differs("trace hash");
-      else if (solo.metricsJson != served.metricsJson) differs("metrics JSON");
-      else if (solo.dot != served.dot) differs("DOT");
-      else if (solo.summary != served.summary) differs("summary");
+      }
     }
     if (mismatches > 0) return 3;
     std::printf("serve: all %zu sessions byte-identical to solo runs\n",
@@ -501,6 +490,21 @@ sim::Duration durationMs(const std::string& flag, const char* text) {
   const double ms =
       parseNumber(flag, text, 0.0, sim::kMaxInputDuration / 1e6);
   return static_cast<sim::Duration>(ms * 1e6);
+}
+
+/// Write one output file through `write`. A file that cannot be written gets
+/// a warning naming `what` and returns false, so the caller prints no
+/// success line.
+template <typename Write>
+bool writeFile(const std::string& path, const char* what, const Write& write) {
+  std::ofstream out(path);
+  if (out) {
+    write(out);
+    out.close();
+  }
+  if (out) return true;
+  std::fprintf(stderr, "warning: cannot write %s to %s\n", what, path.c_str());
+  return false;
 }
 
 std::optional<mpi::Runtime::Program> makeWorkload(const Options& opt) {
@@ -564,9 +568,8 @@ int runWorkload(const Options& opt) {
   toolCfg.batchWaitState = opt.batch;
   toolCfg.periodicDetection = opt.periodic;
   toolCfg.incrementalGather = !opt.noIncremental;
-  toolCfg.verifyIncremental = opt.verifyIncremental;
   toolCfg.hierarchicalCheck = opt.hierarchicalCheck;
-  toolCfg.verifyHierarchical = opt.verifyHierarchical;
+  toolCfg.verify = opt.verify;
 
   // Any telemetry output implies the timeline + overhead accounting; health
   // beats stay a separate opt-in because they add protocol traffic.
@@ -575,60 +578,6 @@ int runWorkload(const Options& opt) {
   toolCfg.telemetry = telemetry;
   toolCfg.healthBeatInterval = opt.beatInterval;
   toolCfg.muteHealthBeatNode = opt.muteNode;
-
-  // Divergence guard for the hybrid mode, styled after --verify-incremental:
-  // run the tool twice — pure dynamic tracking vs certificate-driven
-  // sampling — and require identical verdicts, deadlocked sets, and terminal
-  // per-rank operation counts. Exit 3 on any difference.
-  if (opt.verifyHybrid) {
-    const analysis::Certificate cert =
-        must::certifyWorkload(opt.procs, mpiCfg, *program);
-    std::printf("verify-hybrid: %s\n", cert.summary().c_str());
-
-    struct SideResult {
-      bool deadlock = false;
-      std::vector<trace::ProcId> deadlocked;
-      bool allFinalized = false;
-      std::vector<trace::LocalTs> state;
-    };
-    const auto runSide = [&](const analysis::Certificate* certificate) {
-      sim::ParallelEngine engine;
-      mpi::Runtime runtime(engine, mpiCfg, opt.procs);
-      must::ToolConfig cfg = toolCfg;
-      cfg.certificate = certificate;
-      must::DistributedTool tool(engine, runtime, cfg);
-      runtime.runToCompletion(*program);
-      SideResult side;
-      side.deadlock = tool.deadlockFound();
-      if (tool.report()) side.deadlocked = tool.report()->check.deadlocked;
-      std::sort(side.deadlocked.begin(), side.deadlocked.end());
-      side.allFinalized = runtime.allFinalized();
-      for (trace::ProcId p = 0; p < opt.procs; ++p) {
-        side.state.push_back(
-            tool.tracker(tool.topology().nodeOfProc(p)).current(p));
-      }
-      return side;
-    };
-    const SideResult plain = runSide(nullptr);
-    const SideResult hybrid = runSide(&cert);
-    std::string divergence;
-    if (plain.deadlock != hybrid.deadlock) {
-      divergence = "verdict differs";
-    } else if (plain.deadlocked != hybrid.deadlocked) {
-      divergence = "deadlocked sets differ";
-    } else if (plain.allFinalized != hybrid.allFinalized) {
-      divergence = "completion differs";
-    } else if (plain.state != hybrid.state) {
-      divergence = "terminal state vectors differ";
-    }
-    if (!divergence.empty()) {
-      std::printf("verify-hybrid: DIVERGENCE: %s\n", divergence.c_str());
-      return 3;
-    }
-    std::printf("verify-hybrid: verdict '%s', zero divergences\n",
-                plain.deadlock ? "deadlock" : "clean");
-    return plain.deadlock ? 2 : 0;
-  }
 
   // Certificate must outlive the tool: the wrapper consults it on every
   // sampled event.
@@ -694,15 +643,11 @@ int runWorkload(const Options& opt) {
                   opt.statusOut.c_str(),
                   support::withCommas(statusWriter->rewrites()).c_str());
     }
-    if (!opt.timelineOut.empty() && tool.timeline() != nullptr) {
-      std::ofstream out(opt.timelineOut);
-      if (out) {
-        out << tool.timeline()->toJson() << "\n";
-        std::printf("timeline JSON written to %s\n", opt.timelineOut.c_str());
-      } else {
-        std::fprintf(stderr, "warning: cannot write timeline to %s\n",
-                     opt.timelineOut.c_str());
-      }
+    if (!opt.timelineOut.empty() && tool.timeline() != nullptr &&
+        writeFile(opt.timelineOut, "timeline", [&](std::ostream& out) {
+          out << tool.timeline()->toJson() << "\n";
+        })) {
+      std::printf("timeline JSON written to %s\n", opt.timelineOut.c_str());
     }
   }
 
@@ -711,15 +656,12 @@ int runWorkload(const Options& opt) {
     tool.metrics().gauge("trace/dropped_events")
         .set(static_cast<std::int64_t>(tracer->totalDropped()));
     tool.attachTraceToReport();
-    std::ofstream out(opt.traceOut);
-    if (out) {
-      out << support::toChromeTraceJson(*tracer);
+    if (writeFile(opt.traceOut, "trace", [&](std::ostream& out) {
+          out << support::toChromeTraceJson(*tracer);
+        })) {
       std::printf("trace written to %s (%s events dropped)\n",
                   opt.traceOut.c_str(),
                   support::withCommas(tracer->totalDropped()).c_str());
-    } else {
-      std::fprintf(stderr, "warning: cannot write trace to %s\n",
-                   opt.traceOut.c_str());
     }
   }
 
@@ -826,15 +768,11 @@ int runWorkload(const Options& opt) {
                   point.label.c_str(), movers.c_str());
     }
   }
-  if (!opt.metricsPath.empty()) {
-    std::ofstream out(opt.metricsPath);
-    if (out) {
-      out << tool.metricsJson() << "\n";
-      std::printf("metrics JSON written to %s\n", opt.metricsPath.c_str());
-    } else {
-      std::fprintf(stderr, "warning: cannot write metrics to %s\n",
-                   opt.metricsPath.c_str());
-    }
+  if (!opt.metricsPath.empty() &&
+      writeFile(opt.metricsPath, "metrics", [&](std::ostream& out) {
+        out << tool.metricsJson() << "\n";
+      })) {
+    std::printf("metrics JSON written to %s\n", opt.metricsPath.c_str());
   }
 
   if (opt.compare) {
@@ -861,7 +799,7 @@ int runWorkload(const Options& opt) {
 
   // Per-round delta statistics of the incremental detection pipeline.
   for (const auto& rs : tool.roundHistory()) {
-    if (rs.hierarchical && opt.hierarchicalCheck && !opt.verifyHierarchical) {
+    if (rs.hierarchical && !opt.verify) {
       std::printf(
           "round %u: hierarchical check, root saw %llu boundary node(s), "
           "%llu arc run(s)%s\n",
@@ -884,27 +822,35 @@ int runWorkload(const Options& opt) {
             : "",
         rs.deadlock ? " [deadlock]" : "");
   }
-  if (opt.verifyHierarchical) {
-    if (tool.hierarchicalDivergences() > 0) {
-      std::printf("verify-hierarchical: %u DIVERGENT round(s)\n",
-                  tool.hierarchicalDivergences());
+  if (opt.verify) {
+    if (tool.divergences() > 0) {
+      std::printf("verify: %u DIVERGENT round(s)\n", tool.divergences());
       return 3;
     }
     if (tool.detectionsRun() > 0) {
-      std::printf("verify-hierarchical: %u round(s), zero divergences\n",
+      std::printf("verify: %u round(s), zero divergences\n",
                   tool.detectionsRun());
     }
   }
-  if (opt.verifyIncremental) {
-    if (tool.verifyDivergences() > 0) {
-      std::printf("verify-incremental: %u DIVERGENT round(s)\n",
-                  tool.verifyDivergences());
+  if (opt.verify && certificate) {
+    // The certificate may only elide tracking, never change what the tool
+    // sees: rerun without it and compare the two terminal observations.
+    sim::ParallelEngine plainEngine(opt.threads);
+    mpi::Runtime plainRuntime(plainEngine, mpiCfg, opt.procs);
+    must::ToolConfig plainCfg = toolCfg;
+    plainCfg.certificate = nullptr;
+    plainCfg.tracer = nullptr;
+    must::DistributedTool plainTool(plainEngine, plainRuntime, plainCfg);
+    plainRuntime.runToCompletion(*program);
+    const std::string difference =
+        fuzz::compareOutcomes(fuzz::observe(plainTool, plainEngine),
+                              fuzz::observe(tool, engine));
+    if (!difference.empty()) {
+      std::printf("verify: hybrid run DIVERGES from the plain run: %s\n",
+                  difference.c_str());
       return 3;
     }
-    if (tool.detectionsRun() > 0) {
-      std::printf("verify-incremental: %u round(s), zero divergences\n",
-                  tool.detectionsRun());
-    }
+    std::printf("verify: hybrid run agrees with the plain run\n");
   }
 
   if (!tool.report()) {
@@ -927,39 +873,33 @@ int runWorkload(const Options& opt) {
                 support::withCommas(report.check.arcCount).c_str());
   }
 
-  if (!opt.htmlPath.empty()) {
-    std::ofstream out(opt.htmlPath);
-    out << report.html;
+  if (!opt.htmlPath.empty() &&
+      writeFile(opt.htmlPath, "HTML report",
+                [&](std::ostream& out) { out << report.html; })) {
     std::printf("HTML report written to %s\n", opt.htmlPath.c_str());
   }
 
-  // Re-derive the graph artifacts from a fresh detection if requested: the
-  // report retains the summary; DOT needs the graph, so rebuild it from the
-  // tool's gathered state via a recorder-less trick — re-run detection is
-  // not possible post-hoc, so emit from the report's data when available.
+  // The report does not keep the graph, so the DOT artifacts render the
+  // terminal wait-for graph.
   if (report.deadlock &&
       (!opt.dotPath.empty() || !opt.compressedDotPath.empty())) {
-    // Rebuild conditions by querying the trackers directly.
-    wfg::WaitForGraph graph(opt.procs);
-    for (trace::ProcId p = 0; p < opt.procs; ++p) {
-      graph.setNode(
-          tool.tracker(tool.topology().nodeOfProc(p)).waitConditions(p));
-    }
-    graph.pruneCollectiveCoWaiters();
-    if (!opt.dotPath.empty()) {
-      std::ofstream out(opt.dotPath);
-      graph.writeDot([&](std::string_view s) { out << s; },
-                     report.check.deadlocked);
+    const wfg::WaitForGraph graph = tool.terminalGraph();
+    if (!opt.dotPath.empty() &&
+        writeFile(opt.dotPath, "DOT graph", [&](std::ostream& out) {
+          graph.writeDot([&](std::string_view s) { out << s; },
+                         report.check.deadlocked);
+        })) {
       std::printf("DOT graph written to %s\n", opt.dotPath.c_str());
     }
     if (!opt.compressedDotPath.empty()) {
       const wfg::CompressedGraph compressed =
           wfg::compress(graph, report.check.deadlocked);
-      std::ofstream out(opt.compressedDotPath);
-      out << compressed.toDot();
-      std::printf("compressed DOT written to %s (%s)\n",
-                  opt.compressedDotPath.c_str(),
-                  compressed.summary().c_str());
+      if (writeFile(opt.compressedDotPath, "compressed DOT",
+                    [&](std::ostream& out) { out << compressed.toDot(); })) {
+        std::printf("compressed DOT written to %s (%s)\n",
+                    opt.compressedDotPath.c_str(),
+                    compressed.summary().c_str());
+      }
     }
   }
   return report.deadlock ? 2 : 0;
@@ -1012,16 +952,12 @@ int main(int argc, char** argv) {
       opt.periodic = durationMs(arg, value());
     } else if (arg == "--no-incremental") {
       opt.noIncremental = true;
-    } else if (arg == "--verify-incremental") {
-      opt.verifyIncremental = true;
     } else if (arg == "--hierarchical-check") {
       opt.hierarchicalCheck = true;
-    } else if (arg == "--verify-hierarchical") {
-      opt.verifyHierarchical = true;
     } else if (arg == "--hybrid") {
       opt.hybrid = true;
-    } else if (arg == "--verify-hybrid") {
-      opt.verifyHybrid = true;
+    } else if (arg == "--verify") {
+      opt.verify = true;
     } else if (arg == "--dot") {
       opt.dotPath = value();
     } else if (arg == "--compressed-dot") {

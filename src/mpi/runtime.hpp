@@ -43,6 +43,7 @@
 #include "mpi/types.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+#include "support/lazy_deque.hpp"
 #include "trace/op.hpp"
 
 namespace wst::support {
@@ -180,10 +181,12 @@ class Runtime {
     sim::Time arrival = 0;
   };
 
+  /// One per rank and usually empty, so its queues allocate on first use;
+  /// `unexpected` can still grow long under send pileups (137.lu).
   struct Mailbox {
-    std::deque<Envelope> unexpected;       // arrived, not yet matched
-    std::deque<PointOpPtr> postedRecvs;    // posted receives, post order
-    std::deque<PointOpPtr> postedProbes;   // pending blocking probes
+    support::LazyDeque<Envelope> unexpected;      // arrived, not yet matched
+    support::LazyDeque<PointOpPtr> postedRecvs;   // posted receives, post order
+    support::LazyDeque<PointOpPtr> postedProbes;  // pending blocking probes
   };
 
   /// One collective wave: the nth collective call on a communicator, joined

@@ -7,6 +7,7 @@
 #include <variant>
 #include <vector>
 
+#include "support/box.hpp"
 #include "tbon/topology.hpp"
 #include "trace/event.hpp"
 #include "waitstate/messages.hpp"
@@ -182,13 +183,18 @@ struct ReRegisterMsg {
   tbon::NodeId deadNode = -1;
 };
 
+/// Every queued or in-flight tool message is one of these, so the variant is
+/// sized by its largest inline alternative: NewOpEvent, the data plane's
+/// hottest message. The two per-round replies are larger and ride boxed
+/// (DESIGN.md §6b).
 using ToolMsg =
     std::variant<trace::NewOpEvent, trace::MatchInfoEvent,
                  waitstate::PassSendMsg, waitstate::RecvActiveMsg,
                  waitstate::RecvActiveAckMsg, waitstate::CollectiveReadyMsg,
                  waitstate::CollectiveAckMsg, RequestConsistentStateMsg,
                  AckConsistentStateMsg, PingMsg, PongMsg, RequestWaitsMsg,
-                 WaitInfoMsg, CondensedWaitInfoMsg, DeadlockDetailRequestMsg,
+                 support::Box<WaitInfoMsg>,
+                 support::Box<CondensedWaitInfoMsg>, DeadlockDetailRequestMsg,
                  DeadlockDetailMsg, PhaseResyncMsg, HealthBeatMsg, ReparentMsg,
                  AdoptMsg, AdoptAckMsg, ReRegisterMsg>;
 
@@ -212,20 +218,21 @@ inline std::size_t modeledSize(const ToolMsg& msg) {
           return waitstate::kCollectiveReadyBytes;
         } else if constexpr (std::is_same_v<T, waitstate::CollectiveAckMsg>) {
           return waitstate::kCollectiveAckBytes;
-        } else if constexpr (std::is_same_v<T, WaitInfoMsg>) {
+        } else if constexpr (std::is_same_v<T, support::Box<WaitInfoMsg>>) {
           std::size_t bytes = 20;  // header incl. the unchanged-count word
-          for (const auto& node : m.conditions) {
+          for (const auto& node : m->conditions) {
             bytes += 16;
             for (const auto& clause : node.clauses) {
               bytes += 8 + 4 * clause.targets.size();
             }
           }
-          bytes += 16 * m.activeSends.size();
-          bytes += 20 * m.activeWildcards.size();
+          bytes += 16 * m->activeSends.size();
+          bytes += 20 * m->activeWildcards.size();
           return bytes;
-        } else if constexpr (std::is_same_v<T, CondensedWaitInfoMsg>) {
-          return 8 + waitstate::condensationBytes(m.wait.cond) +
-                 16 * m.activeSends.size() + 20 * m.activeWildcards.size();
+        } else if constexpr (
+            std::is_same_v<T, support::Box<CondensedWaitInfoMsg>>) {
+          return 8 + waitstate::condensationBytes(m->wait.cond) +
+                 16 * m->activeSends.size() + 20 * m->activeWildcards.size();
         } else if constexpr (std::is_same_v<T, DeadlockDetailRequestMsg>) {
           return 8 + 4 * m.procs.size();
         } else if constexpr (std::is_same_v<T, AdoptMsg>) {

@@ -8,20 +8,21 @@ namespace wst::must {
 namespace {
 
 /// Write-then-rename so concurrent readers of the status path never observe
-/// a partially written document. Failures are silently ignored: telemetry
-/// must never abort a run over a full disk or an unwritable path.
-void replaceFile(const std::string& path, const std::string& content) {
+/// a partially written document. Returns whether the document landed; the
+/// caller only records a failure: telemetry must never abort a run over a
+/// full disk or an unwritable path.
+bool replaceFile(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return;
-  const bool ok =
+  if (f == nullptr) return false;
+  const bool written =
       std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  std::fclose(f);
-  if (ok) {
-    std::rename(tmp.c_str(), path.c_str());
-  } else {
-    std::remove(tmp.c_str());
+  const bool closed = std::fclose(f) == 0;
+  if (written && closed && std::rename(tmp.c_str(), path.c_str()) == 0) {
+    return true;
   }
+  std::remove(tmp.c_str());
+  return false;
 }
 
 }  // namespace
@@ -59,8 +60,9 @@ void StatusWriter::render(sim::Time now) {
   lastProm_ = tool_.prometheusText(now);
   ++rewrites_;
   if (config_.path.empty()) return;
-  replaceFile(config_.path, lastStatus_);
-  replaceFile(config_.path + ".prom", lastProm_);
+  const bool status = replaceFile(config_.path, lastStatus_);
+  const bool prom = replaceFile(config_.path + ".prom", lastProm_);
+  written_ = status && prom;
 }
 
 void StatusWriter::writeFinal() { render(engine_.now()); }

@@ -46,6 +46,9 @@ class StatusWriter {
   const std::string& lastStatusJson() const { return lastStatus_; }
   const std::string& lastProm() const { return lastProm_; }
   std::uint64_t rewrites() const { return rewrites_; }
+  /// Whether the last rewrite landed both the JSON document and its .prom
+  /// sibling on disk (false before the first one and with an empty path).
+  bool written() const { return written_; }
 
  private:
   void onTick();
@@ -58,6 +61,7 @@ class StatusWriter {
   std::string lastStatus_;
   std::string lastProm_;
   std::uint64_t rewrites_ = 0;
+  bool written_ = false;
   bool renderPending_ = false;  // root-LP/cut state: collapse tick bursts
 };
 

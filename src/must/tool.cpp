@@ -648,13 +648,10 @@ mpi::Interposer::Hold DistributedTool::onEvent(const trace::Event& event) {
         // First op past the prefix (timestamps are dense, so this happens
         // exactly once per rank): resync the tracker state before the op's
         // own event so it arrives at a fast-forwarded tracker.
-        PhaseResyncMsg resync;
-        resync.proc = proc;
-        resync.opCount = watermark;
-        resync.worldCollectives =
-            config_.certificate->prefixWorldCollectives;
-        overlay_->injectUnthrottled(proc, ToolMsg{resync},
-                                    modeledSize(ToolMsg{resync}));
+        ToolMsg resync{PhaseResyncMsg{
+            proc, watermark, config_.certificate->prefixWorldCollectives}};
+        const std::size_t resyncBytes = modeledSize(resync);
+        overlay_->injectUnthrottled(proc, std::move(resync), resyncBytes);
       }
     }
   }
@@ -735,16 +732,16 @@ void DistributedTool::traceDelivery(NodeId self, NodeId srcNode,
             track->instant("requestWaits", "detect", "epoch", m.epoch,
                            "baseEpoch", m.baseEpoch);
           },
-          [&](const WaitInfoMsg& m) {
+          [&](const support::Box<WaitInfoMsg>& m) {
             track->instant("waitInfo", "detect", "conditions",
-                           static_cast<std::int64_t>(m.conditions.size()),
-                           "unchanged", m.unchangedCount);
+                           static_cast<std::int64_t>(m->conditions.size()),
+                           "unchanged", m->unchangedCount);
           },
-          [&](const CondensedWaitInfoMsg& m) {
+          [&](const support::Box<CondensedWaitInfoMsg>& m) {
             track->instant(
                 "condensedWaitInfo", "detect", "boundary",
-                static_cast<std::int64_t>(m.wait.cond.nodes.size()),
-                "finished", m.wait.finishedCount);
+                static_cast<std::int64_t>(m->wait.cond.nodes.size()),
+                "finished", m->wait.finishedCount);
           },
           [&](const DeadlockDetailMsg& m) {
             track->instant("deadlockDetail", "detect", "conditions",
@@ -776,15 +773,15 @@ sim::Duration DistributedTool::messageCost(NodeId /*node*/,
           [&](const waitstate::CollectiveAckMsg&) {
             return config_.collectiveMsgCost;
           },
-          [&](const WaitInfoMsg& m) {
+          [&](const support::Box<WaitInfoMsg>& m) {
             return config_.controlMsgCost +
-                   static_cast<sim::Duration>(20 * m.conditions.size());
+                   static_cast<sim::Duration>(20 * m->conditions.size());
           },
-          [&](const CondensedWaitInfoMsg& m) {
+          [&](const support::Box<CondensedWaitInfoMsg>& m) {
             // Service cost follows the boundary, not p: that is the point of
             // the hierarchical check.
             return config_.controlMsgCost +
-                   static_cast<sim::Duration>(20 * m.wait.cond.nodes.size());
+                   static_cast<sim::Duration>(20 * m->wait.cond.nodes.size());
           },
           [&](const DeadlockDetailMsg& m) {
             return config_.controlMsgCost +
@@ -819,6 +816,11 @@ void DistributedTool::broadcastDown(NodeId from, const ToolMsg& msg) {
     }
     overlay_->sendDown(from, child, ToolMsg{msg}, modeledSize(msg));
   }
+}
+
+void DistributedTool::sendUp(NodeId node, ToolMsg&& msg) {
+  const std::size_t bytes = modeledSize(msg);
+  overlay_->sendUp(node, std::move(msg), bytes);
 }
 
 void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
@@ -882,7 +884,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
                 handleRootAllAcked();
               }
             } else {
-              overlay_->sendUp(node, ToolMsg{m}, modeledSize(ToolMsg{m}));
+              sendUp(node, ToolMsg{m});
             }
           },
           [&](PingMsg& m) {
@@ -942,8 +944,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
               if (topology_.isRoot(node)) {
                 handleCondensedAtRoot(std::move(cmsg));
               } else {
-                const std::size_t bytes = modeledSize(ToolMsg{cmsg});
-                overlay_->sendUp(node, ToolMsg{std::move(cmsg)}, bytes);
+                sendUp(node, ToolMsg{std::move(cmsg)});
               }
             }
             if (rawPathActive()) {
@@ -977,8 +978,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
               if (topology_.isRoot(node)) {
                 handleWaitInfoAtRoot(std::move(info));
               } else {
-                const std::size_t bytes = modeledSize(ToolMsg{info});
-                overlay_->sendUp(node, ToolMsg{std::move(info)}, bytes);
+                sendUp(node, ToolMsg{std::move(info)});
               }
             }
             if (ns.trace) {
@@ -986,7 +986,8 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
             }
             ns.tracker->resumeProgress();
           },
-          [&](WaitInfoMsg& m) {
+          [&](support::Box<WaitInfoMsg>& boxed) {
+            WaitInfoMsg& m = *boxed;
             if (topology_.isRoot(node)) {
               handleWaitInfoAtRoot(std::move(m));
               return;
@@ -1002,7 +1003,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
             }
             // TBON aggregation: merge the subtree's deltas into one upward
             // message per round instead of relaying each child's reply.
-            ns.waitInfoChildBytes += modeledSize(ToolMsg{m});
+            ns.waitInfoChildBytes += modeledSize(msg);
             ns.pendingWaitInfo.epoch = m.epoch;
             ns.pendingWaitInfo.unchangedCount += m.unchangedCount;
             std::move(m.conditions.begin(), m.conditions.end(),
@@ -1019,15 +1020,17 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
             WaitInfoMsg merged = std::move(ns.pendingWaitInfo);
             ns.pendingWaitInfo = WaitInfoMsg{};
             ns.waitInfoChildren = 0;
-            const std::size_t bytes = modeledSize(ToolMsg{merged});
+            ToolMsg out{std::move(merged)};
+            const std::size_t bytes = modeledSize(out);
             waitinfoFanin_->record(ns.liveChildren.size());
             if (ns.waitInfoChildBytes > bytes) {
               mergeSavedBytes_->add(ns.waitInfoChildBytes - bytes);
             }
             ns.waitInfoChildBytes = 0;
-            overlay_->sendUp(node, ToolMsg{std::move(merged)}, bytes);
+            overlay_->sendUp(node, std::move(out), bytes);
           },
-          [&](CondensedWaitInfoMsg& m) {
+          [&](support::Box<CondensedWaitInfoMsg>& boxed) {
+            CondensedWaitInfoMsg& m = *boxed;
             if (topology_.isRoot(node)) {
               handleCondensedAtRoot(std::move(m));
               return;
@@ -1072,8 +1075,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
             ns.pendingCondFinished = 0;
             ns.condChildren = 0;
             ns.lastCondNodes = merged.wait.cond.nodes.size();
-            const std::size_t bytes = modeledSize(ToolMsg{merged});
-            overlay_->sendUp(node, ToolMsg{std::move(merged)}, bytes);
+            sendUp(node, ToolMsg{std::move(merged)});
           },
           [&](DeadlockDetailRequestMsg& m) {
             if (!topology_.isFirstLayer(node)) {
@@ -1094,8 +1096,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
             if (topology_.isRoot(node)) {
               handleDeadlockDetailAtRoot(std::move(reply));
             } else {
-              const std::size_t bytes = modeledSize(ToolMsg{reply});
-              overlay_->sendUp(node, ToolMsg{std::move(reply)}, bytes);
+              sendUp(node, ToolMsg{std::move(reply)});
             }
           },
           [&](DeadlockDetailMsg& m) {
@@ -1118,8 +1119,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
             DeadlockDetailMsg merged = std::move(ns.pendingDetail);
             ns.pendingDetail = DeadlockDetailMsg{};
             ns.detailChildren = 0;
-            const std::size_t bytes = modeledSize(ToolMsg{merged});
-            overlay_->sendUp(node, ToolMsg{std::move(merged)}, bytes);
+            sendUp(node, ToolMsg{std::move(merged)});
           },
           [&](HealthBeatMsg& m) {
             // Fire-and-forget fold toward the root: inner nodes relay the
@@ -1129,8 +1129,7 @@ void DistributedTool::handleMessage(NodeId node, ToolMsg&& msg) {
               integrateHealthRows(m.rows);
               return;
             }
-            const std::size_t bytes = modeledSize(ToolMsg{m});
-            overlay_->sendUp(node, ToolMsg{std::move(m)}, bytes);
+            sendUp(node, ToolMsg{std::move(m)});
           },
           [&](ReparentMsg& m) {
             // Re-route up traffic, replay unacknowledged collective
@@ -1362,8 +1361,9 @@ void DistributedTool::beginRecovery(tbon::NodeId dead) {
       applyAdoption(root, adopt);
       ++recovery_->adoptAcks;
     } else {
-      const std::size_t bytes = modeledSize(ToolMsg{adopt});
-      overlay_->sendDown(root, target, ToolMsg{std::move(adopt)}, bytes);
+      ToolMsg out{std::move(adopt)};
+      const std::size_t bytes = modeledSize(out);
+      overlay_->sendDown(root, target, std::move(out), bytes);
     }
   };
   sendAdopt(adopter, orphans);
@@ -1950,8 +1950,7 @@ void DistributedTool::onHealthBeat(NodeId node) {
       integrateHealthRows(msg.rows);
       sweepStaleHealth();  // the root's own tick doubles as the sweep
     } else {
-      const std::size_t bytes = modeledSize(ToolMsg{msg});
-      overlay_->sendUp(node, ToolMsg{std::move(msg)}, bytes);
+      sendUp(node, ToolMsg{std::move(msg)});
     }
   } else if (topology_.isRoot(node)) {
     sweepStaleHealth();

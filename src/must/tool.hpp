@@ -403,6 +403,8 @@ class DistributedTool : public mpi::Interposer {
   void handleCollectiveReady(tbon::NodeId node,
                              const waitstate::CollectiveReadyMsg& msg);
   void broadcastDown(tbon::NodeId from, const ToolMsg& msg);
+  /// Send `msg` up the tree from `node`, charged at its modeled size.
+  void sendUp(tbon::NodeId node, ToolMsg&& msg);
   void rootCollectiveComplete(const waitstate::CollectiveReadyMsg& msg);
 
   // Consistent-state protocol.

@@ -22,12 +22,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 
 #include "sim/engine.hpp"
 #include "support/assert.hpp"
+#include "support/lazy_deque.hpp"
 #include "support/rng.hpp"
 
 namespace wst::sim {
@@ -167,7 +167,8 @@ class Channel {
   Time lastArrival_ = 0;
   support::Rng jitterRng_{config_.jitterSeed};
   std::uint32_t creditsLeft_ = 0;
-  std::deque<std::function<void()>> creditWaiters_;
+  // Only credit-limited channels ever wait, and rarely: allocate lazily.
+  support::LazyDeque<std::function<void()>> creditWaiters_;
   std::uint64_t sent_ = 0;
   std::uint64_t bytesSent_ = 0;
 };

@@ -67,17 +67,18 @@ enum class Kind : std::uint8_t {
 
 const char* toString(Kind kind);
 
-/// One traced MPI call.
+/// One traced MPI call. Every queued tool message and every tracker-window
+/// op holds one, so the 4-byte fields come first, then the one-byte enums,
+/// then the vector: no padding hole, 72 bytes (DESIGN.md §6b). Nothing
+/// initializes a Record by member position.
 struct Record {
   OpId id{};
-  Kind kind = Kind::kFinalize;
 
   // Point-to-point fields.
   mpi::Rank peer = mpi::kAnySource;  // dest for sends, src for recv/probe
   mpi::Tag tag = 0;
   mpi::CommId comm = mpi::kCommWorld;
   mpi::Bytes bytes = 0;
-  mpi::SendMode sendMode = mpi::SendMode::kStandard;
 
   // For kSendrecv: the receive half (peer/tag above describe the send half).
   mpi::Rank recvPeer = mpi::kAnySource;
@@ -86,12 +87,15 @@ struct Record {
   // Non-blocking ops: the request this call created.
   mpi::RequestId request = mpi::kNullRequest;
 
+  // Collectives: the root (collective kind below).
+  mpi::Rank root = 0;
+
+  Kind kind = Kind::kFinalize;
+  mpi::SendMode sendMode = mpi::SendMode::kStandard;
+  mpi::CollectiveKind collective = mpi::CollectiveKind::kBarrier;
+
   // Completion calls: requests being completed, in call order.
   std::vector<mpi::RequestId> completes;
-
-  // Collectives.
-  mpi::CollectiveKind collective = mpi::CollectiveKind::kBarrier;
-  mpi::Rank root = 0;
 
   bool isSendLike() const {
     return kind == Kind::kSend || kind == Kind::kIsend;

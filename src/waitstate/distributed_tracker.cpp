@@ -123,6 +123,8 @@ void DistributedTracker::fastForward(ProcId proc, LocalTs opCount,
 // --- newOp -------------------------------------------------------------------
 
 void DistributedTracker::onNewOp(const Record& rec) {
+  // A backlogged tracker holds one OpState per windowed op (DESIGN.md §6b).
+  static_assert(sizeof(OpState) <= 112, "OpState outgrew its packed layout");
   const ProcId p = rec.id.proc;
   ProcState& ps = state(p);
   WST_ASSERT(rec.id.ts == ps.arrived, "newOp out of order");
@@ -238,10 +240,12 @@ void DistributedTracker::activate(ProcId proc, OpState& op) {
                            RecvActiveAckMsg{op.matchedRecv, false});
       op.sentRecvActiveAck = true;
     }
-    for (const OpId& probe : op.pendingProbeAcks) {
-      comms_.recvActiveAck(probe.proc, RecvActiveAckMsg{probe, true});
+    if (op.pendingProbeAcks != nullptr) {
+      for (const OpId& probe : *op.pendingProbeAcks) {
+        comms_.recvActiveAck(probe.proc, RecvActiveAckMsg{probe, true});
+      }
+      op.pendingProbeAcks.reset();
     }
-    op.pendingProbeAcks.clear();
   }
 }
 
@@ -325,13 +329,13 @@ bool DistributedTracker::protocolComplete(const OpState& op) const {
     case Kind::kSend:
     case Kind::kIsend:
       return op.gotRecvActive && op.sentRecvActiveAck &&
-             op.pendingProbeAcks.empty();
+             op.pendingProbeAcks == nullptr;
     case Kind::kRecv:
     case Kind::kIrecv:
       return op.matched && op.gotAck;
     case Kind::kSendrecv:
       return op.gotRecvActive && op.sentRecvActiveAck &&
-             op.pendingProbeAcks.empty() && op.matched && op.gotAck;
+             op.pendingProbeAcks == nullptr && op.matched && op.gotAck;
     case Kind::kCollective:
       return op.gotCollAck;
     case Kind::kProbe:
@@ -695,7 +699,10 @@ void DistributedTracker::onRecvActive(const RecvActiveMsg& msg) {
     if (reachedLocally(ps, msg.sendOp.ts)) {
       comms_.recvActiveAck(msg.recvOp.proc, RecvActiveAckMsg{msg.recvOp, true});
     } else {
-      send->pendingProbeAcks.push_back(msg.recvOp);
+      if (send->pendingProbeAcks == nullptr) {
+        send->pendingProbeAcks = std::make_unique<std::vector<OpId>>();
+      }
+      send->pendingProbeAcks->push_back(msg.recvOp);
       touch(p);
     }
     return;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -188,26 +189,31 @@ class DistributedTracker {
 
  private:
   /// Per-operation tracking state (paper: the object o with l, l_s, active,
-  /// gotRecvActive, canAdvance attributes).
+  /// gotRecvActive, canAdvance attributes). A backlogged tracker holds one
+  /// per windowed op, so the flags are bits and nothing pads (112 bytes;
+  /// DESIGN.md §6b).
   struct OpState {
     trace::Record rec;
-    bool activated = false;
     // Send side (kSend, kIsend, send half of kSendrecv):
-    bool gotRecvActive = false;
-    bool sentRecvActiveAck = false;
     trace::OpId matchedRecv{};
-    std::vector<trace::OpId> pendingProbeAcks;  // probes waiting for us
     // Receive side (kRecv, kIrecv, kProbe, recv half of kSendrecv):
-    bool matched = false;
     trace::OpId matchedSend{};
-    bool sentRecvActive = false;
-    bool gotAck = false;
-    bool wildcardResolved = false;
     mpi::Rank resolvedSource = -1;
     mpi::Tag resolvedTag = mpi::kAnyTag;
     // Collectives:
     std::uint32_t wave = 0;
-    bool gotCollAck = false;
+    // Flags, one bit each: any op, send side, receive side, collectives.
+    bool activated : 1 = false;
+    bool gotRecvActive : 1 = false;
+    bool sentRecvActiveAck : 1 = false;
+    bool matched : 1 = false;
+    bool sentRecvActive : 1 = false;
+    bool gotAck : 1 = false;
+    bool wildcardResolved : 1 = false;
+    bool gotCollAck : 1 = false;
+    /// Send side: probes waiting for this send's ack. Rare, so held out of
+    /// line; null while no probe waits.
+    std::unique_ptr<std::vector<trace::OpId>> pendingProbeAcks;
   };
 
   struct ReqInfo {

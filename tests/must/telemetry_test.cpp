@@ -257,6 +257,7 @@ TEST(Telemetry, DeadlockReportAndStatusFileCarryTheTelemetryPlane) {
   EXPECT_TRUE(isOneJsonObject(text.str())) << text.str();
   EXPECT_EQ(text.str().rfind("{\"schema\": \"wst-status-v1\"", 0), 0u);
   EXPECT_TRUE(std::filesystem::exists(path + ".prom"));
+  EXPECT_TRUE(writer.written());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
   std::filesystem::remove(path + ".prom");

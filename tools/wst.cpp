@@ -639,9 +639,14 @@ int runWorkload(const Options& opt) {
     tool.finalizeTelemetry();
     if (statusWriter) {
       statusWriter->writeFinal();
-      std::printf("status written to %s (%s rewrites)\n",
-                  opt.statusOut.c_str(),
-                  support::withCommas(statusWriter->rewrites()).c_str());
+      if (statusWriter->written()) {
+        std::printf("status written to %s (%s rewrites)\n",
+                    opt.statusOut.c_str(),
+                    support::withCommas(statusWriter->rewrites()).c_str());
+      } else {
+        std::fprintf(stderr, "warning: cannot write status to %s\n",
+                     opt.statusOut.c_str());
+      }
     }
     if (!opt.timelineOut.empty() && tool.timeline() != nullptr &&
         writeFile(opt.timelineOut, "timeline", [&](std::ostream& out) {

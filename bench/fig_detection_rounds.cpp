@@ -1,14 +1,14 @@
-// Per-round detection latency of periodic deadlock checks: full gather +
-// cold check on every round vs. the incremental pipeline (delta wait-info
-// gather, TBON merge, persistent WFG with warm-started release fixpoint —
-// DESIGN.md §10).
+// Per-round detection latency of periodic deadlock checks: a full gather on
+// every round vs. the incremental pipeline (delta wait-info gather, TBON
+// merge, persistent WFG that re-prunes only the touched processes before
+// the release fixpoint — DESIGN.md §10).
 //
 // The workload is the straggler variant of the cyclic-exchange stress test:
 // p/4 ranks churn through sendrecv iterations while the rest block in one
 // stable Recv. A full gather ships all p NodeConditions up the tree every
 // round and pays tree-link serialization (perByte) for each; the delta
 // gather re-ships only the churning quarter, so steady-state rounds shrink
-// both the gather latency and the root's rebuild work.
+// both the gather latency and the root's re-prune work.
 //
 // Convention (as in fig10): synchronization + gather are simulated virtual
 // time, graph build + deadlock check are measured wall time at the root.
@@ -17,7 +17,8 @@
 // unblocked stragglers).
 //
 // Set WST_VERIFY_INCREMENTAL=1 to run the side-by-side verifier in every
-// round (CI smoke): the `verify_divergences` counter must stay 0.
+// round (CI smoke): `tools/ci_gates.py detection-rounds` checks that the
+// `verify_divergences` counter stays 0.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>

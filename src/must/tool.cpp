@@ -21,10 +21,6 @@ struct Overloaded : Ts... {
 template <class... Ts>
 Overloaded(Ts...) -> Overloaded<Ts...>;
 
-/// Maximum changed-process fraction for which the root warm-starts the
-/// release fixpoint from the previous round's released set; above it the
-/// check falls back to a full cold run.
-constexpr double kWarmStartThreshold = 0.5;
 /// Timeline points kept before the ring folds into its base snapshot.
 constexpr std::size_t kTimelineCapacity = 512;
 /// A node is stale when the root saw no health row from it for more than
@@ -375,7 +371,7 @@ DistributedTool::DistributedTool(sim::Scheduler& engine, mpi::Runtime& runtime,
     healthReackWaves_ = &metrics_.counter("health/reack_waves");
   }
 
-  incremental_.emplace(runtime_.procCount(), kWarmStartThreshold);
+  incremental_.emplace(runtime_.procCount());
   procSends_.resize(static_cast<std::size_t>(runtime_.procCount()));
   procWildcards_.resize(static_cast<std::size_t>(runtime_.procCount()));
   // Unified suppressed-message accounting: one total plus a per-layer
@@ -544,11 +540,6 @@ void DistributedTool::refreshDerivedMetrics() {
         .set(static_cast<std::int64_t>(last.unchanged));
     metrics_.gauge("tool/last_round/repruned")
         .set(static_cast<std::int64_t>(last.repruned));
-    metrics_.gauge("tool/last_round/seed_released")
-        .set(static_cast<std::int64_t>(last.seedReleased));
-    metrics_.gauge("tool/last_round/warm_start").set(last.warmStart ? 1 : 0);
-    metrics_.gauge("tool/last_round/full_rebuild")
-        .set(last.fullRebuild ? 1 : 0);
   }
 }
 
@@ -1623,8 +1614,7 @@ void DistributedTool::finishDetection() {
     return;
   }
   using Clock = std::chrono::steady_clock;
-  const wfg::IncrementalWfg::RoundResult round =
-      incremental_->commit(/*forceFull=*/!config_.incrementalGather);
+  const wfg::IncrementalWfg::RoundResult round = incremental_->commit();
   const auto t2 = Clock::now();
   wfg::Report report = wfg::makeReport(incremental_->graph(), round.check);
   const auto t3 = Clock::now();
@@ -1632,27 +1622,15 @@ void DistributedTool::finishDetection() {
   // The round's wall-clock compute times (buildNs/checkNs) must never enter
   // the trace — they differ across runs and thread counts.
   if (rootTrack_) {
-    rootTrack_->instant("wfgApply", "detect", "repruned",
-                        round.repruned, "seedReleased", round.seedReleased);
+    rootTrack_->instant("wfgApply", "detect", "repruned", round.repruned);
     rootTrack_->instant("check", "detect", "deadlock",
-                        round.check.deadlock ? 1 : 0, "warmStart",
-                        round.warmStart ? 1 : 0);
+                        round.check.deadlock ? 1 : 0);
     rootTrack_->instant("report", "detect", "dotBytes",
                         static_cast<std::int64_t>(report.dotBytes));
   }
-
-  report.times.synchronizationNs = syncEnd_ - syncStart_;
-  report.times.wfgGatherNs = gatherEnd_ - syncEnd_;
   report.times.graphBuildNs = round.buildNs;
   report.times.deadlockCheckNs = round.checkNs;
   report.times.outputGenerationNs = wallNs(t2, t3);
-  report.incremental.incremental = config_.incrementalGather;
-  report.incremental.warmStart = round.warmStart;
-  report.incremental.changedConditions = gatheredProcs_;
-  report.incremental.unchangedConditions = gatheredUnchanged_;
-  report.incremental.reprunedNodes = round.repruned;
-  report.incremental.seedReleased = round.seedReleased;
-  report.incremental.gatherBytesSaved = gatherSavedBytes_->value();
 
   std::optional<wfg::HierarchicalResult> hier;
   if (config_.hierarchicalCheck) hier.emplace(resolveHierarchical());
@@ -1664,18 +1642,11 @@ void DistributedTool::finishDetection() {
   if (hier) noteReported(hier->deadlocked);
 
   RoundStats stats;
-  stats.epoch = epoch_;
   stats.changed = gatheredProcs_;
   stats.unchanged = gatheredUnchanged_;
-  stats.fullRebuild = round.fullRebuild;
-  stats.warmStart = round.warmStart;
   stats.repruned = round.repruned;
-  stats.seedReleased = round.seedReleased;
-  stats.syncNs = static_cast<std::uint64_t>(syncEnd_ - syncStart_);
-  stats.gatherNs = static_cast<std::uint64_t>(gatherEnd_ - syncEnd_);
   stats.buildNs = round.buildNs;
   stats.checkNs = round.checkNs;
-  stats.pingsSent = pingsSentCounter_->value() - lastPingsSent_;
   stats.deadlock = round.check.deadlock;
   if (hier) {
     stats.hierarchical = true;
@@ -1683,27 +1654,12 @@ void DistributedTool::finishDetection() {
     stats.boundaryArcs = hier->boundaryArcs;
     stats.boundaryTargets = hier->boundaryTargets;
   }
-  lastPingsSent_ = pingsSentCounter_->value();
-  roundStats_.push_back(stats);
-
-  report_ = std::move(report);
   lastIntegratedEpoch_ = epoch_;
   periodicStopped_ =
       incremental_->finishedCount() ==
       static_cast<std::uint32_t>(runtime_.procCount());
-
-  runUnexpectedMatchCheck();
-  detectionInProgress_ = false;
-  ++detectionsCompleted_;
-  if (ohSyncNs_ != nullptr) {
-    ohSyncNs_->add(stats.syncNs);
-    ohGatherNs_->add(stats.gatherNs);
-  }
-  requestTimelineCapture(stats.epoch);
-  if (rootTrack_) {
-    rootTrack_->spanEnd("detection", "detect", "changed",
-                        static_cast<std::int64_t>(gatheredProcs_));
-  }
+  completeRound(std::move(report), stats, "changed",
+                static_cast<std::int64_t>(gatheredProcs_));
 }
 
 bool DistributedTool::roundAgreesWithReferences(
@@ -1832,32 +1788,38 @@ void DistributedTool::completeHierarchicalRound(
   const auto t1 = Clock::now();
   wfg::Report report = wfg::makeReport(detailGraph, check);
   const auto t2 = Clock::now();
-  report.times.synchronizationNs = syncEnd_ - syncStart_;
-  report.times.wfgGatherNs = gatherEnd_ - syncEnd_;
   report.times.graphBuildNs = 0;
   report.times.deadlockCheckNs = wallNs(t0, t1);
   report.times.outputGenerationNs = wallNs(t1, t2);
-  report.incremental.incremental = false;
 
   RoundStats stats;
-  stats.epoch = epoch_;
-  stats.syncNs = static_cast<std::uint64_t>(syncEnd_ - syncStart_);
-  stats.gatherNs = static_cast<std::uint64_t>(gatherEnd_ - syncEnd_);
   stats.checkNs = wallNs(t0, t1);
-  stats.pingsSent = pingsSentCounter_->value() - lastPingsSent_;
   stats.deadlock = hier.deadlock;
   stats.hierarchical = true;
   stats.boundaryNodes = hier.boundaryNodes;
   stats.boundaryArcs = hier.boundaryArcs;
   stats.boundaryTargets = hier.boundaryTargets;
+  pendingHier_.reset();
+  periodicStopped_ =
+      rootCondFinished_ == static_cast<std::uint32_t>(runtime_.procCount());
+  completeRound(std::move(report), stats, "boundary",
+                static_cast<std::int64_t>(stats.boundaryNodes));
+}
+
+void DistributedTool::completeRound(wfg::Report&& report, RoundStats stats,
+                                    const char* spanArg,
+                                    std::int64_t spanValue) {
+  report.times.synchronizationNs = syncEnd_ - syncStart_;
+  report.times.wfgGatherNs = gatherEnd_ - syncEnd_;
+  stats.epoch = epoch_;
+  stats.syncNs = static_cast<std::uint64_t>(syncEnd_ - syncStart_);
+  stats.gatherNs = static_cast<std::uint64_t>(gatherEnd_ - syncEnd_);
+  stats.pingsSent = pingsSentCounter_->value() - lastPingsSent_;
   lastPingsSent_ = pingsSentCounter_->value();
   roundStats_.push_back(stats);
 
   report_ = std::move(report);
-  periodicStopped_ =
-      rootCondFinished_ == static_cast<std::uint32_t>(runtime_.procCount());
   runUnexpectedMatchCheck();
-  pendingHier_.reset();
   detectionInProgress_ = false;
   ++detectionsCompleted_;
   if (ohSyncNs_ != nullptr) {
@@ -1866,8 +1828,7 @@ void DistributedTool::completeHierarchicalRound(
   }
   requestTimelineCapture(stats.epoch);
   if (rootTrack_) {
-    rootTrack_->spanEnd("detection", "detect", "boundary",
-                        static_cast<std::int64_t>(stats.boundaryNodes));
+    rootTrack_->spanEnd("detection", "detect", spanArg, spanValue);
   }
 }
 

@@ -131,7 +131,8 @@ struct ToolConfig {
   /// integrated; trackers reply only with conditions of processes whose
   /// wait-state version changed since their reply of that epoch (plus an
   /// unchanged count), and the root applies the delta to a persistent
-  /// wait-for graph. Off = every round gathers and rebuilds everything.
+  /// wait-for graph. Off = every round gathers every process, so the root
+  /// re-prunes all of them.
   bool incrementalGather = true;
 
   // --- Hierarchical in-tree check (DESIGN.md §13) ----------------------------
@@ -266,21 +267,18 @@ class DistributedTool : public mpi::Interposer {
     return unexpectedMatches_;
   }
 
-  /// Per-detection-round statistics (delta sizes, warm-start behavior,
+  /// Per-detection-round statistics (delta sizes, re-pruned processes,
   /// pings) in completion order; drives the detection bench and the
   /// differential tests.
   struct RoundStats {
     std::uint32_t epoch = 0;
     std::uint32_t changed = 0;    // NodeConditions gathered this round
     std::uint32_t unchanged = 0;  // processes elided by the delta protocol
-    bool fullRebuild = false;
-    bool warmStart = false;
-    std::uint32_t repruned = 0;
-    std::uint32_t seedReleased = 0;
+    std::uint32_t repruned = 0;   // processes re-pruned at the root
     std::uint64_t syncNs = 0;    // virtual: consistent-state sync
     std::uint64_t gatherNs = 0;  // virtual: wait-info gather
-    std::uint64_t buildNs = 0;   // wall: delta apply + (re)prune
-    std::uint64_t checkNs = 0;   // wall: (seeded) deadlock check
+    std::uint64_t buildNs = 0;   // wall: delta apply + re-prune
+    std::uint64_t checkNs = 0;   // wall: deadlock check
     std::uint64_t pingsSent = 0;
     bool deadlock = false;
     /// Hierarchical check (when the condensed path ran this round): the
@@ -433,6 +431,11 @@ class DistributedTool : public mpi::Interposer {
   /// holds the deadlocked processes' reconstructed conditions (empty graph
   /// when no deadlock was found).
   void completeHierarchicalRound(wfg::WaitForGraph&& detailGraph);
+  /// The end both round kinds share: stamp the round's network times on
+  /// `report` and `stats`, record the stats, publish the report, and close
+  /// the round. `spanArg`/`spanValue` label the detection span's end.
+  void completeRound(wfg::Report&& report, RoundStats stats,
+                     const char* spanArg, std::int64_t spanValue);
   /// Merge one check's deadlocked set (sorted) into reportedDeadlocked_.
   void noteReported(const std::vector<trace::ProcId>& deadlocked);
   /// The verify mode's check of one raw round: the full rebuild + cold check

@@ -28,7 +28,10 @@ const NodeConditions& WaitForGraph::node(trace::ProcId proc) const {
   return nodes_[idx];
 }
 
-void WaitForGraph::pruneNodeCollectiveClauses(NodeConditions& node) const {
+void WaitForGraph::pruneNodeCollectiveClauses(trace::ProcId proc) {
+  const auto idx = static_cast<std::size_t>(proc);
+  WST_ASSERT(idx < nodes_.size(), "prune: process out of range");
+  NodeConditions& node = nodes_[idx];
   for (auto& clause : node.clauses) {
     if (clause.type != ClauseType::kCollective) continue;
     std::erase_if(clause.targets, [&](trace::ProcId target) {
@@ -48,7 +51,7 @@ void WaitForGraph::pruneNodeCollectiveClauses(NodeConditions& node) const {
 void WaitForGraph::pruneCollectiveCoWaiters() {
   // The predicate reads only header fields, which pruning never touches, so
   // pruning nodes in place and in order equals pruning a frozen snapshot.
-  for (auto& node : nodes_) pruneNodeCollectiveClauses(node);
+  for (trace::ProcId i = 0; i < procCount(); ++i) pruneNodeCollectiveClauses(i);
 }
 
 std::uint64_t WaitForGraph::arcCount() const {
@@ -60,45 +63,17 @@ std::uint64_t WaitForGraph::arcCount() const {
 }
 
 CheckResult WaitForGraph::check() const {
-  return checkImpl(nullptr, nullptr, nullptr);
-}
-
-CheckResult WaitForGraph::checkSeeded(
-    const std::vector<char>& seed, std::vector<char>& releasedOut,
-    std::vector<std::vector<trace::ProcId>>& justification) const {
-  return checkImpl(&seed, &releasedOut, &justification);
-}
-
-CheckResult WaitForGraph::checkImpl(
-    const std::vector<char>* seed, std::vector<char>* releasedOut,
-    std::vector<std::vector<trace::ProcId>>* justification) const {
   const std::size_t p = nodes_.size();
   std::vector<char> released(p, 0);
   std::vector<std::vector<char>> clauseSat(p);
   std::vector<std::size_t> unsatCount(p, 0);
-  // Per blocked proc, per clause: the target whose release satisfied it.
-  std::vector<std::vector<trace::ProcId>> satBy;
-  if (justification != nullptr) {
-    WST_ASSERT(justification->size() == p, "justification size mismatch");
-    satBy.resize(p);
-  }
 
   for (std::size_t i = 0; i < p; ++i) {
     if (!nodes_[i].blocked) {
       released[i] = 1;
-      if (justification != nullptr) (*justification)[i].clear();
-      continue;
-    }
-    if (seed != nullptr && (*seed)[i] != 0) {
-      // Warm start: assumed released; its justification from the previous
-      // round remains valid (the caller invalidated anything touched).
-      released[i] = 1;
       continue;
     }
     clauseSat[i].assign(nodes_[i].clauses.size(), 0);
-    if (justification != nullptr) {
-      satBy[i].assign(nodes_[i].clauses.size(), trace::ProcId{-1});
-    }
     unsatCount[i] = nodes_[i].clauses.size();
     // An empty clause (no targets at all) can never be satisfied: the
     // process waits for something no process can provide. Keep it unsat.
@@ -120,22 +95,16 @@ CheckResult WaitForGraph::checkImpl(
       const auto& clauses = nodes_[i].clauses;
       for (std::size_t c = 0; c < clauses.size(); ++c) {
         if (clauseSat[i][c]) continue;
-        trace::ProcId by = -1;
         for (trace::ProcId t : clauses[c].targets) {
           if (released[static_cast<std::size_t>(t)] != 0) {
-            by = t;
+            clauseSat[i][c] = 1;
+            --unsatCount[i];
             break;
           }
-        }
-        if (by >= 0) {
-          clauseSat[i][c] = 1;
-          if (justification != nullptr) satBy[i][c] = by;
-          --unsatCount[i];
         }
       }
       if (unsatCount[i] == 0) {
         released[i] = 1;
-        if (justification != nullptr) (*justification)[i] = satBy[i];
         changed = true;
       }
     }
@@ -144,11 +113,9 @@ CheckResult WaitForGraph::checkImpl(
   for (std::size_t i = 0; i < p; ++i) {
     if (!released[i]) {
       result.deadlocked.push_back(static_cast<trace::ProcId>(i));
-      if (justification != nullptr) (*justification)[i].clear();
     }
   }
   result.deadlock = !result.deadlocked.empty();
-  if (releasedOut != nullptr) *releasedOut = released;
 
   // Representative cycle: from any deadlocked process, repeatedly step to a
   // deadlocked target of an unsatisfied clause; a revisit closes the cycle.
@@ -168,7 +135,7 @@ CheckResult WaitForGraph::checkImpl(
       const auto& node = nodes_[static_cast<std::size_t>(cur)];
       // The walk only ever visits deadlocked processes (the start is
       // deadlocked and every step goes to an unreleased target), which are
-      // blocked and never seeded, so their clauseSat entries are populated.
+      // blocked, so their clauseSat entries are populated.
       const auto& sat = clauseSat[static_cast<std::size_t>(cur)];
       trace::ProcId next = -1;
       for (std::size_t c = 0; c < node.clauses.size() && next < 0; ++c) {

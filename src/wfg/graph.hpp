@@ -102,32 +102,19 @@ class WaitForGraph {
   /// assembles gathered wait-for information).
   void pruneCollectiveCoWaiters();
 
-  /// Prune the collective clauses of a single (not yet installed) node
-  /// against the current headers of this graph. The pruning predicate reads
-  /// only header fields (blocked/inCollective/collComm/collWaveIndex), which
-  /// pruning never mutates, so per-node pruning composes to exactly
+  /// Prune the collective clauses of one installed process against the
+  /// current headers of this graph. The pruning predicate reads only header
+  /// fields (blocked/inCollective/collComm/collWaveIndex), which pruning
+  /// never mutates, so per-node pruning composes to exactly
   /// pruneCollectiveCoWaiters() — this is what lets the incremental root
   /// re-prune only the nodes a delta touched.
-  void pruneNodeCollectiveClauses(NodeConditions& node) const;
+  void pruneNodeCollectiveClauses(trace::ProcId proc);
 
   /// Total number of arcs (sum of clause target list sizes).
   std::uint64_t arcCount() const;
 
   /// Run the release fixpoint and report deadlocked processes.
   CheckResult check() const;
-
-  /// Release fixpoint warm-started from `seed` (procs assumed released; the
-  /// seed must be a subset of the true released set, which makes the least
-  /// fixpoint identical to the cold one). `releasedOut` receives the final
-  /// released flags. `justification` (size procCount, maintained by the
-  /// caller across rounds) records, for every process released *during* this
-  /// run, the target whose release satisfied each clause (clause order);
-  /// seeded entries are left untouched, deadlocked and unblocked entries are
-  /// cleared. The caller uses these edges to invalidate dependent seeds when
-  /// a justifier's conditions change.
-  CheckResult checkSeeded(
-      const std::vector<char>& seed, std::vector<char>& releasedOut,
-      std::vector<std::vector<trace::ProcId>>& justification) const;
 
   /// Emit the graph in Graphviz DOT format through `sink` (streaming: the
   /// p²-arc graphs of the wildcard stress test would otherwise require the
@@ -140,10 +127,6 @@ class WaitForGraph {
   std::string toDot(const std::vector<trace::ProcId>& restrictTo = {}) const;
 
  private:
-  CheckResult checkImpl(
-      const std::vector<char>* seed, std::vector<char>* releasedOut,
-      std::vector<std::vector<trace::ProcId>>* justification) const;
-
   std::vector<NodeConditions> nodes_;
 };
 

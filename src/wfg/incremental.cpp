@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 
 #include "support/assert.hpp"
 
@@ -18,13 +17,10 @@ std::uint64_t wallNs(std::chrono::steady_clock::time_point from,
 
 }  // namespace
 
-IncrementalWfg::IncrementalWfg(std::int32_t procCount, double warmThreshold)
+IncrementalWfg::IncrementalWfg(std::int32_t procCount)
     : procCount_(procCount),
-      threshold_(warmThreshold),
       graph_(procCount),
       pristine_(static_cast<std::size_t>(procCount)),
-      released_(static_cast<std::size_t>(procCount), 0),
-      justification_(static_cast<std::size_t>(procCount)),
       finished_(static_cast<std::size_t>(procCount), 0) {
   for (std::int32_t i = 0; i < procCount; ++i) {
     pristine_[static_cast<std::size_t>(i)].proc = i;
@@ -37,22 +33,19 @@ void IncrementalWfg::stage(NodeConditions node) {
   staged_.push_back(std::move(node));
 }
 
-IncrementalWfg::RoundResult IncrementalWfg::commit(bool forceFull) {
+IncrementalWfg::RoundResult IncrementalWfg::commit() {
   const auto buildStart = std::chrono::steady_clock::now();
   const std::size_t p = static_cast<std::size_t>(procCount_);
   RoundResult rr;
   rr.changed = static_cast<std::uint32_t>(staged_.size());
   if (first_) {
     WST_ASSERT(staged_.size() == p, "first commit must stage every process");
+    first_ = false;
   }
-  const bool full =
-      first_ || forceFull || threshold_ <= 0.0 ||
-      static_cast<double>(staged_.size()) > threshold_ * static_cast<double>(p);
 
   // Apply the delta to the pristine store and track which collective waves
   // gained or lost a member (those waves' current members need re-pruning;
   // members that *left* a wave are staged nodes themselves).
-  std::vector<char> changedFlag(p, 0);
   std::vector<char> inReprune(p, 0);
   std::vector<std::uint64_t> touchedWaves;
   for (auto& node : staged_) {
@@ -75,7 +68,6 @@ IncrementalWfg::RoundResult IncrementalWfg::commit(bool forceFull) {
       waveMembers_[key].push_back(pristine_[i].proc);
       touchedWaves.push_back(key);
     }
-    changedFlag[i] = 1;
     inReprune[i] = 1;
   }
   staged_.clear();
@@ -84,24 +76,6 @@ IncrementalWfg::RoundResult IncrementalWfg::commit(bool forceFull) {
   std::sort(touchedWaves.begin(), touchedWaves.end());
   touchedWaves.erase(std::unique(touchedWaves.begin(), touchedWaves.end()),
                      touchedWaves.end());
-
-  if (full) {
-    for (std::size_t i = 0; i < p; ++i) {
-      graph_.setNode(pristine_[i]);  // copy: pristine_ stays unpruned
-    }
-    graph_.pruneCollectiveCoWaiters();
-    rr.repruned = static_cast<std::uint32_t>(p);
-    rr.fullRebuild = true;
-    justification_.assign(p, {});
-    const std::vector<char> emptySeed(p, 0);
-    const auto checkStart = std::chrono::steady_clock::now();
-    rr.buildNs = wallNs(buildStart, checkStart);
-    rr.check = graph_.checkSeeded(emptySeed, released_, justification_);
-    rr.checkNs = wallNs(checkStart, std::chrono::steady_clock::now());
-    first_ = false;
-    return rr;
-  }
-
   for (const std::uint64_t key : touchedWaves) {
     // find(): a wave whose last member left was erased above; operator[]
     // would silently resurrect an empty entry.
@@ -112,57 +86,25 @@ IncrementalWfg::RoundResult IncrementalWfg::commit(bool forceFull) {
     }
   }
 
-  // Install the raw headers of every changed node first: pruning reads only
-  // header fields, so once all new headers are visible, re-pruning each
-  // affected node from its pristine conditions reproduces exactly what a
-  // full prune pass over the new state would compute.
+  // Install the raw conditions of every affected node first: pruning reads
+  // only header fields, so once all new headers are visible, pruning each
+  // affected node in place reproduces exactly what a full prune pass over
+  // the new state would compute. Every other node keeps its pruned
+  // conditions: neither its clauses nor the headers it prunes against
+  // changed.
   for (std::size_t i = 0; i < p; ++i) {
-    if (changedFlag[i] != 0) graph_.setNode(pristine_[i]);
+    // A copy: pristine_ stays unpruned.
+    if (inReprune[i] != 0) graph_.setNode(pristine_[i]);
   }
   for (std::size_t i = 0; i < p; ++i) {
     if (inReprune[i] == 0) continue;
-    NodeConditions pruned = pristine_[i];
-    graph_.pruneNodeCollectiveClauses(pruned);
-    graph_.setNode(std::move(pruned));
+    graph_.pruneNodeCollectiveClauses(static_cast<trace::ProcId>(i));
     ++rr.repruned;
   }
 
-  // Seed = last round's released set minus the reverse-justification closure
-  // of every re-pruned node: a release survives only if its own conditions
-  // and its entire justifying chain are untouched.
-  std::vector<std::vector<trace::ProcId>> rev(p);
-  for (std::size_t j = 0; j < p; ++j) {
-    for (const trace::ProcId t : justification_[j]) {
-      if (t >= 0) rev[static_cast<std::size_t>(t)].push_back(
-          static_cast<trace::ProcId>(j));
-    }
-  }
-  std::vector<char> invalid = inReprune;
-  std::deque<trace::ProcId> worklist;
-  for (std::size_t i = 0; i < p; ++i) {
-    if (invalid[i] != 0) worklist.push_back(static_cast<trace::ProcId>(i));
-  }
-  while (!worklist.empty()) {
-    const trace::ProcId t = worklist.front();
-    worklist.pop_front();
-    for (const trace::ProcId j : rev[static_cast<std::size_t>(t)]) {
-      if (invalid[static_cast<std::size_t>(j)] == 0) {
-        invalid[static_cast<std::size_t>(j)] = 1;
-        worklist.push_back(j);
-      }
-    }
-  }
-  std::vector<char> seed(p, 0);
-  for (std::size_t i = 0; i < p; ++i) {
-    if (released_[i] != 0 && invalid[i] == 0) {
-      seed[i] = 1;
-      ++rr.seedReleased;
-    }
-  }
-  rr.warmStart = true;
   const auto checkStart = std::chrono::steady_clock::now();
   rr.buildNs = wallNs(buildStart, checkStart);
-  rr.check = graph_.checkSeeded(seed, released_, justification_);
+  rr.check = graph_.check();
   rr.checkNs = wallNs(checkStart, std::chrono::steady_clock::now());
   return rr;
 }

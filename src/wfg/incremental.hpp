@@ -1,4 +1,4 @@
-// Persistent wait-for graph with warm-started deadlock checks.
+// Persistent wait-for graph across detection rounds.
 //
 // The root of the incremental detection pipeline (DESIGN.md §10) keeps one
 // WaitForGraph alive across detection rounds. Each round stages only the
@@ -10,15 +10,11 @@
 //     affected (the changed nodes plus all members of collective waves whose
 //     membership changed — pruning is destructive, so affected nodes are
 //     re-derived from their pristine conditions),
-//  3. seeds the release fixpoint from the previous round's released set,
-//     minus the reverse-justification closure of everything re-pruned: a
-//     process stays seeded only if its conditions and the full chain of
-//     releases that justified it are untouched. A sound (subset-of-true)
-//     seed makes the seeded least fixpoint identical to the cold one.
+//  3. runs the plain release fixpoint (WaitForGraph::check()) over the
+//     maintained graph.
 //
-// When the changed fraction exceeds the configured threshold (or on the
-// first round / on request) it falls back to a full rebuild + cold check,
-// which is byte-identical to the non-incremental path.
+// The maintained graph equals a full rebuild from the pristine store, so
+// the check is byte-identical to the non-incremental path.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +27,7 @@ namespace wst::wfg {
 
 class IncrementalWfg {
  public:
-  /// `warmThreshold`: maximum changed-node fraction for which the check is
-  /// warm-started; above it (or when <= 0) every round runs a full rebuild
-  /// and cold check.
-  IncrementalWfg(std::int32_t procCount, double warmThreshold);
+  explicit IncrementalWfg(std::int32_t procCount);
 
   /// Stage the (unpruned) conditions of one changed process for the next
   /// commit. The first round must stage every process (the first gather is
@@ -43,17 +36,14 @@ class IncrementalWfg {
 
   struct RoundResult {
     CheckResult check;
-    bool fullRebuild = false;  // pruned + checked everything from scratch
-    bool warmStart = false;    // fixpoint seeded from the previous round
-    std::uint32_t changed = 0;       // staged nodes applied this round
-    std::uint32_t repruned = 0;      // nodes re-pruned against pristine
-    std::uint32_t seedReleased = 0;  // released flags carried into the seed
-    std::uint64_t buildNs = 0;       // wall time: apply delta + (re)prune
-    std::uint64_t checkNs = 0;       // wall time: (seeded) deadlock check
+    std::uint32_t changed = 0;   // staged nodes applied this round
+    std::uint32_t repruned = 0;  // nodes re-pruned against pristine
+    std::uint64_t buildNs = 0;   // wall time: apply delta + re-prune
+    std::uint64_t checkNs = 0;   // wall time: deadlock check
   };
 
   /// Apply the staged delta and run the deadlock check.
-  RoundResult commit(bool forceFull = false);
+  RoundResult commit();
 
   /// Drop the staged delta without committing. Used when a detection round
   /// is torn by a crash: the partial gather is abandoned and the restarted
@@ -91,14 +81,10 @@ class IncrementalWfg {
   }
 
   std::int32_t procCount_;
-  double threshold_;
   bool first_ = true;
 
   WaitForGraph graph_;                  // pruned, persistent across rounds
   std::vector<NodeConditions> pristine_;  // unpruned node conditions
-  /// Released flags and per-clause release justifications of the last check.
-  std::vector<char> released_;
-  std::vector<std::vector<trace::ProcId>> justification_;
   /// Current members of each collective wave (per pristine headers).
   std::unordered_map<std::uint64_t, std::vector<trace::ProcId>> waveMembers_;
   std::vector<NodeConditions> staged_;

@@ -32,18 +32,6 @@ struct DetectionTimes {
   }
 };
 
-/// Per-round statistics of the incremental detection pipeline (delta gather
-/// + warm-started check); all zero / false when the round ran the full path.
-struct IncrementalStats {
-  bool incremental = false;   // the round used the delta gather
-  bool warmStart = false;     // the check was seeded from the prior round
-  std::uint32_t changedConditions = 0;    // NodeConditions shipped this round
-  std::uint32_t unchangedConditions = 0;  // procs elided from the gather
-  std::uint32_t reprunedNodes = 0;        // nodes re-pruned at the root
-  std::uint32_t seedReleased = 0;         // released flags carried over
-  std::uint64_t gatherBytesSaved = 0;     // modeled bytes elided by deltas
-};
-
 struct Report {
   bool deadlock = false;
   std::string summary;        // one-line notification
@@ -51,7 +39,6 @@ struct Report {
   std::uint64_t dotBytes = 0;  // size of the emitted DOT graph
   CheckResult check;
   DetectionTimes times;
-  IncrementalStats incremental;
 };
 
 /// Produce the user-facing report for a completed deadlock check.

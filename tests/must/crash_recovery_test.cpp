@@ -71,8 +71,8 @@ TEST(CrashRecovery, EveryInnerNodeEveryPhaseEveryVariant) {
   // consistent-state ping exchange, +6k in the RequestWaits broadcast /
   // gather, +10k in the wait-info and condensation merge window at the
   // inner layer, +16k in the batch flush window. The two times in round 4
-  // re-run the same phases with warm incremental state, and 450'000 is
-  // deep into execution for the late-crash case.
+  // re-run the same phases on delta rounds, against the root's persistent
+  // graph, and 450'000 is deep into execution for the late-crash case.
   const std::vector<sim::Time> crashTimes = {202'000, 206'000, 210'000,
                                              216'000, 402'000, 410'000,
                                              450'000};

@@ -154,7 +154,8 @@ TEST(ParallelDeterminism, HierarchicalCheckIsByteIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminism, PeriodicDetectionIsByteIdenticalAcrossThreadCounts) {
   // Periodic detection now runs on the root node's LP (no cross-LP reads),
   // so multi-round incremental detection must stay byte-identical for any
-  // worker count — including delta gathers and warm starts.
+  // worker count — including delta gathers and the root's re-pruned
+  // persistent graph.
   workloads::StressParams params;
   params.iterations = 25;
   params.neighborDistance = 4;

@@ -93,7 +93,7 @@ TEST(IncrementalDetection, DeltaGatherElidesStableWaiters) {
   const auto& first = run.rounds.front();
   EXPECT_EQ(first.changed, 16u);
   EXPECT_EQ(first.unchanged, 0u);
-  EXPECT_TRUE(first.fullRebuild);
+  EXPECT_EQ(first.repruned, 16u);
 
   // Every completed round accounts for every process, gathered or elided.
   for (const auto& r : run.rounds) {
@@ -101,11 +101,12 @@ TEST(IncrementalDetection, DeltaGatherElidesStableWaiters) {
   }
 
   // Delta rounds: the 8 idle ranks are elided, so strictly fewer conditions
-  // than procCount travel up the tree, and the check warm-starts.
+  // than procCount travel up the tree, and the root re-prunes fewer
+  // processes than the first round.
   const auto& second = run.rounds[1];
   EXPECT_GT(second.unchanged, 0u);
   EXPECT_LT(second.changed, 16u);
-  EXPECT_TRUE(second.warmStart);
+  EXPECT_LT(second.repruned, 16u);
   EXPECT_GT(run.gatherSavedBytes, 0u);
 
   // Unblock round: the completion token releases the idle ranks, so a later
@@ -219,8 +220,8 @@ TEST(IncrementalDetection, EveryRoundPingsTheActiveSendPeer) {
 
 TEST(IncrementalDetection, DeadlockVerdictAgreesWithVerifierOnFirstRound) {
   // Manifest deadlock: the first (and only) detection round is a full
-  // gather + cold check; the verifier's side-by-side full check must agree
-  // and the round stats must record the deadlock.
+  // gather that re-prunes every process; the verifier's side-by-side full
+  // rebuild must agree and the round stats must record the deadlock.
   const mpi::RuntimeConfig mpiCfg;
   ToolConfig cfg;
   cfg.fanIn = 4;
@@ -231,7 +232,7 @@ TEST(IncrementalDetection, DeadlockVerdictAgreesWithVerifierOnFirstRound) {
   EXPECT_EQ(run.divergences, 0u);
   ASSERT_GE(run.rounds.size(), 1u);
   EXPECT_TRUE(run.rounds.back().deadlock);
-  EXPECT_TRUE(run.rounds.front().fullRebuild);
+  EXPECT_EQ(run.rounds.front().repruned, 12u);
   EXPECT_FALSE(run.dot.empty());
 }
 

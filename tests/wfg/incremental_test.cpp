@@ -1,6 +1,6 @@
 // IncrementalWfg equivalence: for any sequence of per-round deltas, the
-// persistent graph + warm-started check must match a from-scratch rebuild +
-// cold check — same verdict, deadlock set, cycle, and DOT rendering.
+// persistent graph with its re-pruned delta must match a from-scratch
+// rebuild — same verdict, deadlock set, cycle, and DOT rendering.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -117,7 +117,7 @@ std::size_t liveWaveCount(const std::vector<NodeConditions>& latest) {
 TEST(IncrementalWfg, RandomDeltaSequencesMatchColdRebuild) {
   for (std::uint32_t seed = 0; seed < 20; ++seed) {
     std::mt19937 rng(seed);
-    IncrementalWfg inc(kProcs, /*warmThreshold=*/1.0);
+    IncrementalWfg inc(kProcs);
     std::vector<NodeConditions> latest(kProcs);
     // First round stages everyone.
     for (trace::ProcId p = 0; p < kProcs; ++p) {
@@ -125,7 +125,8 @@ TEST(IncrementalWfg, RandomDeltaSequencesMatchColdRebuild) {
       inc.stage(latest[static_cast<std::size_t>(p)]);
     }
     inc.commit();
-    std::uniform_int_distribution<int> deltaSize(0, kProcs / 2);
+    // Up to every process: large deltas take the same path as small ones.
+    std::uniform_int_distribution<int> deltaSize(0, kProcs);
     std::uniform_int_distribution<trace::ProcId> pick(0, kProcs - 1);
     for (int round = 0; round < 12; ++round) {
       std::vector<char> staged(kProcs, 0);
@@ -143,7 +144,7 @@ TEST(IncrementalWfg, RandomDeltaSequencesMatchColdRebuild) {
       EXPECT_EQ(checkSignature(inc.graph(), result.check),
                 checkSignature(cold, coldCheck))
           << "seed=" << seed << " round=" << round
-          << " warm=" << result.warmStart;
+          << " changed=" << result.changed;
       // Emptied wave entries must be erased: the map holds exactly the live
       // waves, so long runs cannot grow it without bound.
       EXPECT_EQ(inc.waveEntryCount(), liveWaveCount(latest))
@@ -155,7 +156,7 @@ TEST(IncrementalWfg, RandomDeltaSequencesMatchColdRebuild) {
 TEST(IncrementalWfg, FinishedCountIgnoresDescriptionDrift) {
   // finishedCount must follow the first-class flag, not the label: a
   // relabeled description neither adds nor removes finished processes.
-  IncrementalWfg inc(2, 1.0);
+  IncrementalWfg inc(2);
   NodeConditions drifted = runningNode(0);
   drifted.description = "finished";  // label says finished, flag says no
   NodeConditions flagged = finishedNode(1);
@@ -168,12 +169,12 @@ TEST(IncrementalWfg, FinishedCountIgnoresDescriptionDrift) {
 
 TEST(IncrementalWfg, EmptyDeltaRoundKeepsVerdict) {
   std::mt19937 rng(42);
-  IncrementalWfg inc(kProcs, 1.0);
+  IncrementalWfg inc(kProcs);
   for (trace::ProcId p = 0; p < kProcs; ++p) inc.stage(blockedP2p(p, rng));
   const auto first = inc.commit();
   const auto second = inc.commit();  // no staged nodes at all
   EXPECT_EQ(second.changed, 0u);
-  EXPECT_TRUE(second.warmStart);
+  EXPECT_EQ(second.repruned, 0u);
   EXPECT_EQ(first.check.deadlock, second.check.deadlock);
   EXPECT_EQ(first.check.deadlocked, second.check.deadlocked);
   EXPECT_EQ(first.check.cycle, second.check.cycle);
@@ -183,7 +184,7 @@ TEST(IncrementalWfg, UnblockReleasesDependentChain) {
   // 0 <- 1 <- 2 all blocked in a chain rooted at a blocked 0; when 0 turns
   // out to be running in the next round, the whole chain must release even
   // though 1 and 2 were not re-gathered.
-  IncrementalWfg inc(3, 1.0);
+  IncrementalWfg inc(3);
   NodeConditions n0;
   n0.proc = 0;
   n0.blocked = true;
@@ -208,14 +209,14 @@ TEST(IncrementalWfg, UnblockReleasesDependentChain) {
   const auto second = inc.commit();
   EXPECT_FALSE(second.check.deadlock);
   EXPECT_TRUE(second.check.deadlocked.empty());
-  EXPECT_TRUE(second.warmStart);
+  EXPECT_EQ(second.repruned, 1u);
 }
 
-TEST(IncrementalWfg, WarmSeedInvalidationCoversJustifierChanges) {
+TEST(IncrementalWfg, ReblockedReleaserDeadlocksItsDependents) {
   // 2 was released because 1 was released because 0 was running. When 0
-  // becomes blocked on 2 the old justifications are stale: the seeded check
-  // must not carry 1/2's release forward blindly.
-  IncrementalWfg inc(3, 1.0);
+  // becomes blocked on 2, the releases of 1 and 2 must not carry over from
+  // the previous round: only 0 is re-gathered, yet all three deadlock.
+  IncrementalWfg inc(3);
   NodeConditions n1;
   n1.proc = 1;
   n1.blocked = true;
@@ -246,26 +247,11 @@ TEST(IncrementalWfg, WarmSeedInvalidationCoversJustifierChanges) {
   EXPECT_EQ(second.check.deadlock, coldCheck.deadlock);
   EXPECT_EQ(second.check.deadlocked, coldCheck.deadlocked);
   EXPECT_TRUE(second.check.deadlock);  // 0 -> 2 -> 1 -> 0 cycle
-}
-
-TEST(IncrementalWfg, ThresholdForcesFullRebuild) {
-  std::mt19937 rng(7);
-  IncrementalWfg inc(kProcs, /*warmThreshold=*/0.25);
-  for (trace::ProcId p = 0; p < kProcs; ++p) inc.stage(randomNode(p, rng));
-  const auto first = inc.commit();
-  EXPECT_TRUE(first.fullRebuild);
-
-  // Small delta: warm start. Big delta: full rebuild fallback.
-  inc.stage(randomNode(0, rng));
-  EXPECT_TRUE(inc.commit().warmStart);
-  for (trace::ProcId p = 0; p < 6; ++p) inc.stage(randomNode(p, rng));
-  const auto big = inc.commit();
-  EXPECT_TRUE(big.fullRebuild);
-  EXPECT_FALSE(big.warmStart);
+  EXPECT_EQ(second.check.deadlocked, (std::vector<trace::ProcId>{0, 1, 2}));
 }
 
 TEST(IncrementalWfg, FinishedCountTracksLatestConditions) {
-  IncrementalWfg inc(4, 1.0);
+  IncrementalWfg inc(4);
   inc.stage(finishedNode(0));
   inc.stage(runningNode(1));
   inc.stage(runningNode(2));

@@ -117,16 +117,11 @@ DESCRIPTIONS = {
         " most recent hierarchical round.",
     "tool/last_round/changed": "Processes whose conditions changed in the"
         " most recent round.",
-    "tool/last_round/full_rebuild": "1 if the most recent round fell back"
-        " to a full WFG rebuild.",
-    "tool/last_round/repruned": "Arcs re-pruned during the most recent"
-        " warm-started round.",
-    "tool/last_round/seed_released": "Seed processes released by the most"
-        " recent fixpoint.",
+    "tool/last_round/repruned": "Processes whose collective clauses the"
+        " root re-pruned in the most recent round: the changed ones plus"
+        " the members of every collective wave they joined or left.",
     "tool/last_round/unchanged": "Processes whose conditions were"
         " unchanged in the most recent round.",
-    "tool/last_round/warm_start": "1 if the most recent round warm-started"
-        " from the persistent WFG.",
     "tool/max_window": "High-water tracked-operation window across the"
         " fleet.",
     "tool/pings_sent": "Timestamp pings sent for round synchronization.",

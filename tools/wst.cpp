@@ -67,7 +67,7 @@ struct Options {
   std::int32_t threads = 1;   // engine worker threads
   bool engineStats = false;   // print engine round statistics
   sim::Duration periodic = 0;
-  bool noIncremental = false;  // full gather + cold check every round
+  bool noIncremental = false;  // full wait-info gather every round
   bool hierarchicalCheck = false;  // in-tree condensed check replaces gather
   bool hybrid = false;         // static certificate + sampled tracking
   bool verify = false;  // check each round (and --hybrid) against a reference
@@ -123,8 +123,9 @@ void printUsage() {
       "                           Results are identical for any N\n"
       "  --engine-stats           print engine round statistics\n"
       "  --periodic-ms X          periodic detection every X virtual ms\n"
-      "  --no-incremental         full wait-info gather + cold deadlock check\n"
-      "                           every round (incremental is the default)\n"
+      "  --no-incremental         full wait-info gather every round, so the\n"
+      "                           root re-prunes every process (the delta\n"
+      "                           gather is the default)\n"
       "  --hierarchical-check     run the deadlock check inside the tree:\n"
       "                           subtrees resolve local fates and forward\n"
       "                           boundary condensations; the root checks\n"
@@ -135,8 +136,8 @@ void printUsage() {
       "                           profiling run) and sample instead of track\n"
       "                           inside the certified prefix\n"
       "  --verify                 check every detection round against its\n"
-      "                           reference: the full rebuild + cold check\n"
-      "                           next to the incremental check, and with\n"
+      "                           reference: a full rebuild of the root's\n"
+      "                           graph next to the maintained one, and with\n"
       "                           --hierarchical-check the raw root check\n"
       "                           next to the condensed one; with --hybrid\n"
       "                           also rerun without the certificate and\n"
@@ -384,6 +385,21 @@ int runFuzz(int argc, char** argv) {
   return report.divergences > 0 ? 3 : 0;
 }
 
+/// Write one output file through `write`. A file that cannot be written gets
+/// a warning naming `what` and returns false, so the caller prints no
+/// success line.
+template <typename Write>
+bool writeFile(const std::string& path, const char* what, const Write& write) {
+  std::ofstream out(path);
+  if (out) {
+    write(out);
+    out.close();
+  }
+  if (out) return true;
+  std::fprintf(stderr, "warning: cannot write %s to %s\n", what, path.c_str());
+  return false;
+}
+
 /// Build the serve session for scenario seed `seed`: the same zero-overhead
 /// tool configuration the fuzz oracle uses, so a served session's verdict is
 /// comparable with `wst fuzz --print-scenario seed` + replay.
@@ -457,12 +473,8 @@ int runServe(int argc, char** argv) {
       static_cast<unsigned long long>(server.roundsRun()));
 
   if (!statusOut.empty()) {
-    std::ofstream out(statusOut, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", statusOut.c_str());
-      return 1;
-    }
-    out << server.statusJson();
+    writeFile(statusOut, "status",
+              [&](std::ostream& out) { out << server.statusJson(); });
   }
 
   if (verify) {
@@ -490,21 +502,6 @@ sim::Duration durationMs(const std::string& flag, const char* text) {
   const double ms =
       parseNumber(flag, text, 0.0, sim::kMaxInputDuration / 1e6);
   return static_cast<sim::Duration>(ms * 1e6);
-}
-
-/// Write one output file through `write`. A file that cannot be written gets
-/// a warning naming `what` and returns false, so the caller prints no
-/// success line.
-template <typename Write>
-bool writeFile(const std::string& path, const char* what, const Write& write) {
-  std::ofstream out(path);
-  if (out) {
-    write(out);
-    out.close();
-  }
-  if (out) return true;
-  std::fprintf(stderr, "warning: cannot write %s to %s\n", what, path.c_str());
-  return false;
 }
 
 std::optional<mpi::Runtime::Program> makeWorkload(const Options& opt) {
@@ -814,11 +811,8 @@ int runWorkload(const Options& opt) {
       continue;
     }
     std::printf(
-        "round %u: %u changed + %u unchanged conditions, %s (%u repruned, "
-        "%u seeded)%s%s\n",
-        rs.epoch, rs.changed, rs.unchanged,
-        rs.fullRebuild ? "full rebuild" : "warm start", rs.repruned,
-        rs.seedReleased,
+        "round %u: %u changed + %u unchanged conditions, %u repruned%s%s\n",
+        rs.epoch, rs.changed, rs.unchanged, rs.repruned,
         rs.hierarchical
             ? support::format(", %llu boundary node(s)",
                               static_cast<unsigned long long>(
